@@ -87,12 +87,6 @@ class BenchReporter
         // default stays serial).  The resulting thread count is
         // reported in the footer.
         setGlobalThreads(0);
-        // Benches default to the PE-table fast path (the library and
-        // golden runs default to exact); an explicit EVAL_PE_TABLE in
-        // the environment wins either way, so the perf-smoke CI job
-        // can pin both modes.
-        if (!envHas("EVAL_PE_TABLE"))
-            setPeTableEnabled(true);
         if (!envString("EVAL_TRACE_OUT", "").empty())
             DecisionTrace::global().setEnabled(true);
         spansPath_ = envString("EVAL_TRACE_SPANS", "");

@@ -1,9 +1,9 @@
 /**
  * @file
  * Microbench for the simulation inner loop: per-kernel ns/eval for the
- * PE(f) evaluation (exact and memo-cached), the alpha-power delay
- * scale, the max-frequency-for-budget query, the thermal fixed-point
- * solve, the whole-core evaluation, and the path-population build.
+ * PE(f) evaluation, the alpha-power delay scale, the
+ * max-frequency-for-budget query, the thermal fixed-point solve, the
+ * whole-core evaluation, and the path-population build.
  *
  * Every metric lands in the BENCH_JSON footer so benchtrack can track
  * the per-kernel trajectory alongside the end-to-end figure benches.
@@ -16,7 +16,6 @@
 #include <cstdio>
 
 #include "bench_common.hh"
-#include "kernels/thermal_batch.hh"
 
 using namespace eval;
 
@@ -64,8 +63,7 @@ main()
 
     // Operating-condition grid shaped like an optimizer sweep: every
     // knob-grid Vdd, a band of temperatures, and a band of periods
-    // around nominal.  64 x 9 x 5 = 2880 distinct keys -- small enough
-    // to live in the PE memo (4096 entries) for the cached metric.
+    // around nominal: 64 x 9 x 5 = 2880 distinct points.
     const double tNom = 1.0 / proc.freqNominal;
     std::vector<double> periods, vdds, temps;
     for (int i = 0; i < 64; ++i)
@@ -81,15 +79,9 @@ main()
             ops.push_back({v, 0.0, t});
 
     double sink = 0.0;
-    const bool peCacheWas = peCacheEnabled();
-    const bool peTableWas = peTableEnabled();
 
-    // --- PE(f) evaluation, exact (memo off, tables off): the
-    // golden-mode workhorse.  Alternate logic/memory stages like real
-    // sweeps do.  Modes are pinned explicitly because BenchReporter
-    // defaults EVAL_PE_TABLE on for end-to-end benches.
-    setPeCacheEnabled(false);
-    setPeTableEnabled(false);
+    // --- PE(f) evaluation.  Alternate logic/memory stages like real
+    // sweeps do.
     {
         const std::size_t n = periods.size() * ops.size();
         const double ns = nsPerCall(2 * n, [&](std::size_t i) {
@@ -100,43 +92,6 @@ main()
         reporter.metric("pe_eval_exact_ns", ns);
         std::printf("pe_eval_exact        %10.1f ns/eval\n", ns);
     }
-
-    // --- PE(f) evaluation, table-accelerated scale (memo off): the
-    // bench/optimizer fast path (EVAL_PE_TABLE).
-    setPeTableEnabled(true);
-    {
-        const std::size_t n = periods.size() * ops.size();
-        const double ns = nsPerCall(2 * n, [&](std::size_t i) {
-            const StageErrorModel &m = (i & 1) ? memory : logic;
-            const double p = periods[i % periods.size()];
-            sink += m.errorRatePerAccess(p, ops[(i / 2) % ops.size()]);
-        });
-        reporter.metric("pe_eval_table_ns", ns);
-        std::printf("pe_eval_table        %10.1f ns/eval\n", ns);
-    }
-    setPeTableEnabled(false);
-
-    // --- PE(f) evaluation, memo-cached: steady-state repeat queries.
-    // 64 periods x 5 conditions = 320 keys, far below the 4096-entry
-    // direct-mapped memo so collisions stay rare and the metric tracks
-    // the hit path, not eviction thrash.
-    setPeCacheEnabled(true);
-    {
-        const std::size_t nOps = 5;
-        const std::size_t n = periods.size() * nOps;
-        for (std::size_t i = 0; i < n; ++i)   // warm the memo
-            sink += logic.errorRatePerAccess(periods[i % periods.size()],
-                                             ops[i / periods.size()]);
-        const double ns = nsPerCall(64 * n, [&](std::size_t i) {
-            const double p = periods[i % periods.size()];
-            sink += logic.errorRatePerAccess(
-                p, ops[(i / periods.size()) % nOps]);
-        });
-        reporter.metric("pe_eval_cached_ns", ns);
-        std::printf("pe_eval_cached       %10.1f ns/eval\n", ns);
-    }
-    setPeCacheEnabled(peCacheWas);
-    setPeTableEnabled(peTableWas);
 
     // --- Alpha-power delay scale (the per-condition scale factor
     // behind every PE query and fvar).
@@ -161,12 +116,10 @@ main()
         std::printf("max_freq_query       %10.1f ns/eval\n", ns);
     }
 
-    // --- Thermal fixed-point solve (one subsystem, memo off: every
-    // call runs the full Eq 6-9 iteration).
+    // --- Thermal fixed-point solve (one subsystem: the full Eq 6-9
+    // iteration).
     const auto power = calibratePower(proc, cfg.powerCal);
     const auto thermal = std::make_shared<const ThermalModel>(proc);
-    const bool thermalCacheWas = thermalCacheEnabled();
-    setThermalCacheEnabled(false);
     {
         const auto &pp = power[static_cast<std::size_t>(SubsystemId::IntALU)];
         const double ns = nsPerCall(100000, [&](std::size_t i) {
@@ -181,26 +134,8 @@ main()
         std::printf("thermal_solve        %10.1f ns/solve\n", ns);
     }
 
-    // --- Thermal solve, memo-cached: steady-state repeat queries
-    // (9 Vdds x 7 sink temps = 63 keys, far below the 16384-entry
-    // memo).
-    setThermalCacheEnabled(true);
-    {
-        const auto &pp = power[static_cast<std::size_t>(SubsystemId::IntALU)];
-        const double ns = nsPerCall(200000, [&](std::size_t i) {
-            const double vdd = vdds[i % vdds.size()];
-            const SubsystemThermalState st = thermal->solveSubsystem(
-                pp, SubsystemId::IntALU, proc.vtMean, vdd, 0.0, 3.5e9,
-                0.8, 45.0 + (i % 7));
-            sink += st.tempC + st.power();
-        });
-        reporter.metric("thermal_solve_cached_ns", ns);
-        std::printf("thermal_solve_cached %10.1f ns/solve\n", ns);
-    }
-
     // --- Batched thermal solve: all 15 subsystems of a core in one
-    // lockstep call, reported per lane (memo off isolates the solver).
-    setThermalCacheEnabled(false);
+    // lockstep call, reported per lane.
     {
         std::array<SubsystemThermalRequest, kNumSubsystems> reqs;
         std::array<SubsystemThermalState, kNumSubsystems> out;
@@ -224,7 +159,6 @@ main()
         std::printf("thermal_batch_lane   %10.1f ns/lane\n",
                     ns / static_cast<double>(kNumSubsystems));
     }
-    setThermalCacheEnabled(thermalCacheWas);
 
     // --- Whole-core evaluation (15 subsystems: thermal + PE + power),
     // the optimizer's candidate-cost unit.

@@ -179,21 +179,6 @@ BM_ScopedTimerDisabled(benchmark::State &state)
 BENCHMARK(BM_ScopedTimerDisabled)->Threads(1)->Threads(4);
 
 void
-BM_ErrorRateQueryCached(benchmark::State &state)
-{
-    // Same PE query from several threads: each thread has its own
-    // memo cache, so the steady state is a thread-local hit.
-    ExperimentContext &ctx = sharedContext();
-    const CoreSystemModel &core = ctx.coreModel(0, 0);
-    const StageErrorModel &model =
-        core.subsystem(SubsystemId::Icache).errorModel(false);
-    const OperatingConditions op{1.0, 0.0, 70.0};
-    for (auto _ : state)
-        benchmark::DoNotOptimize(model.errorRatePerAccess(2.4e-10, op));
-}
-BENCHMARK(BM_ErrorRateQueryCached)->Threads(4);
-
-void
 BM_ScopedSpanDisabled(benchmark::State &state)
 {
     // The disabled ScopedSpan guarantee: one relaxed atomic load, no

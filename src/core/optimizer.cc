@@ -77,8 +77,8 @@ ExhaustiveOptimizer::maxFrequency(const CoreSystemModel &core,
     // settings fast-first and let each setting advance a shared
     // "best feasible index" with its own gallop + binary search.  A
     // setting only pays thermal solves when it can still beat the
-    // current best, and almost all settings are eliminated by one
-    // memoized PE query at the temperature floor.  Both searches rest
+    // current best, and almost all settings are eliminated by one PE
+    // query at the temperature floor.  Both searches rest
     // on the same invariant the legacy prefilters used: PE rises with
     // f and T and falls with Vdd and Vbb (fast settings first), and
     // the solved junction temperature is at least TH + Rth * Pdyn, so
@@ -128,8 +128,8 @@ ExhaustiveOptimizer::maxFrequency(const CoreSystemModel &core,
         // Row head: if even the row's fastest Vbb misses the budget at
         // the floor temperature for the next frequency to beat, every
         // setting in this row fails there — and PE only grows as Vdd
-        // drops, so every remaining row fails too.  One memoized PE
-        // query retires the rest of the scan.
+        // drops, so every remaining row fails too.  One PE query
+        // retires the rest of the scan.
         {
             const OperatingConditions head{vdd, vbbFast, thC};
             if (em.errorRatePerAccess(1.0 / freqs.value(probe), head) >

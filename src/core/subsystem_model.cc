@@ -185,7 +185,7 @@ CoreSystemModel::evaluate(const OperatingPoint &op,
 {
     // All subsystems share one heat-sink temperature, so their Eq 6-9
     // fixed points are independent — solve them as one batch (a single
-    // lockstep iteration, one memo pass) instead of 15 scalar calls.
+    // lockstep iteration) instead of 15 scalar calls.
     // Each lane is bit-identical to the solveSubsystem it replaces.
     std::array<SubsystemThermalRequest, kNumSubsystems> reqs;
     std::array<SubsystemThermalState, kNumSubsystems> solved;

@@ -1,126 +1,15 @@
 #include "timing/error_model.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstring>
+#include <cstdint>
 
 #include "stats/stat_registry.hh"
 #include "trace/span_tracer.hh"
-#include "util/config.hh"
 #include "util/logging.hh"
 #include "util/math_utils.hh"
 
 namespace eval {
-
-namespace {
-
-std::uint64_t
-nextCacheId()
-{
-    static std::atomic<std::uint64_t> counter{1};
-    // eval-lint: allow(atomics-relaxed) monotone id source; callers need
-    // uniqueness, not ordering, and never read another thread's id.
-    return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-/**
- * Per-thread direct-mapped memo cache for errorRatePerAccess.
- *
- * Keys are the exact bit patterns of the query, so a hit returns
- * precisely the value a recomputation would — results are therefore
- * independent of hit/miss history and identical across any thread
- * count (each thread simply keeps its own working set).  4096 entries
- * cover one core's knob grid (~15 subsystems x ~200 knob points) with
- * room for several phases' thermal iterates.
- */
-struct PeCacheEntry
-{
-    std::uint64_t id = 0;        ///< 0 = empty
-    std::uint64_t periodBits = 0;
-    std::uint64_t vddBits = 0;
-    std::uint64_t vbbBits = 0;
-    std::uint64_t tempBits = 0;
-    double value = 0.0;
-};
-
-constexpr std::size_t kPeCacheSize = 4096;   // power of two
-
-thread_local PeCacheEntry peCache[kPeCacheSize];
-
-std::uint64_t
-doubleBits(double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    return bits;
-}
-
-/** -1 = follow EVAL_PE_CACHE, otherwise the forced 0/1 setting. */
-std::atomic<int> peCacheOverride{-1};
-
-/** -1 = follow EVAL_PE_TABLE, otherwise the forced 0/1 setting. */
-std::atomic<int> peTableOverride{-1};
-
-/**
- * The eval/hit counters, registered once and shared by the cached
- * entry point and the uncached compute path (previously both
- * re-registered the same names with their own static locals).
- */
-struct PeCounters
-{
-    Counter &evals;
-    Counter &hits;
-
-    static const PeCounters &
-    get()
-    {
-        static const PeCounters counters{
-            StatRegistry::global().counter("timing.error_evals"),
-            StatRegistry::global().counter("timing.error_cache_hits")};
-        return counters;
-    }
-};
-
-} // namespace
-
-void
-setPeCacheEnabled(bool enabled)
-{
-    // eval-lint: allow(atomics-relaxed) independent on/off override; readers
-    // only ever see 0/1/-1 and no other memory is published with it.
-    peCacheOverride.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-bool
-peCacheEnabled()
-{
-    // eval-lint: allow(atomics-relaxed) single flag with no associated payload.
-    const int forced = peCacheOverride.load(std::memory_order_relaxed);
-    if (forced >= 0)
-        return forced != 0;
-    static const bool enabled = envBool("EVAL_PE_CACHE", true);
-    return enabled;
-}
-
-void
-setPeTableEnabled(bool enabled)
-{
-    // eval-lint: allow(atomics-relaxed) independent on/off override; readers
-    // only ever see 0/1/-1 and no other memory is published with it.
-    peTableOverride.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-bool
-peTableEnabled()
-{
-    // eval-lint: allow(atomics-relaxed) single flag with no associated payload.
-    const int forced = peTableOverride.load(std::memory_order_relaxed);
-    if (forced >= 0)
-        return forced != 0;
-    static const bool enabled = envBool("EVAL_PE_TABLE", false);
-    return enabled;
-}
 
 namespace {
 
@@ -167,7 +56,7 @@ makeSurface(const ProcessParams &params, PathPopulation &pop)
 StageErrorModel::StageErrorModel(const ProcessParams &params,
                                  PathPopulation pop)
     : params_(params), type_(pop.type), vt0Mean_(pop.vt0Mean),
-      leffMean_(pop.leffMean), cacheId_(nextCacheId()),
+      leffMean_(pop.leffMean),
       surface_(makeSurface(params, pop))
 {
 }
@@ -183,47 +72,9 @@ StageErrorModel::errorRatePerAccess(double clockPeriod,
                                     const OperatingConditions &op) const
 {
     EVAL_ASSERT(clockPeriod > 0.0, "clock period must be positive");
-    const PeCounters &counters = PeCounters::get();
-    counters.evals.inc();
-
-    if (!peCacheEnabled())
-        return computeErrorRatePerAccess(clockPeriod, op);
-
-    const std::uint64_t periodBits = doubleBits(clockPeriod);
-    const std::uint64_t vddBits = doubleBits(op.vdd);
-    const std::uint64_t vbbBits = doubleBits(op.vbb);
-    const std::uint64_t tempBits = doubleBits(op.tempC);
-    // FNV-1a style mix over the key words, then a murmur-style
-    // avalanche.  The avalanche is essential: without it the slot
-    // index is a function of the key words' low mantissa bits only,
-    // and "round" query values (grid Vdd steps, integral
-    // temperatures) all share zero low bits — knob-grid sweeps used
-    // to collapse onto a few dozen slots and thrash.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::uint64_t w :
-         {cacheId_, periodBits, vddBits, vbbBits, tempBits}) {
-        h ^= w;
-        h *= 0x100000001b3ULL;
-    }
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    PeCacheEntry &e = peCache[h & (kPeCacheSize - 1)];
-    if (e.id == cacheId_ && e.periodBits == periodBits &&
-        e.vddBits == vddBits && e.vbbBits == vbbBits &&
-        e.tempBits == tempBits) {
-        counters.hits.inc();
-        return e.value;
-    }
-    const double pe = computeErrorRatePerAccess(clockPeriod, op);
-    e = {cacheId_, periodBits, vddBits, vbbBits, tempBits, pe};
-    return pe;
-}
-
-double
-StageErrorModel::computeErrorRatePerAccess(
-    double clockPeriod, const OperatingConditions &op) const
-{
+    static Counter &evals =
+        StatRegistry::global().counter("timing.error_evals");
+    evals.inc();
     static TimerStat &timer =
         StatRegistry::global().timer("profile.timing.error_eval");
     ScopedTimer scope(timer);
@@ -232,11 +83,7 @@ StageErrorModel::computeErrorRatePerAccess(
     // ≤3% overhead budget, DESIGN.md Sec 5e).
     static thread_local std::uint64_t spanTick = 0;
     ScopedSpan span("pe.eval", (spanTick++ & 63) == 0);
-    const PeCounters &counters = PeCounters::get();
-    span.arg("cache_evals", counters.evals.value());
-    span.arg("cache_hits", counters.hits.value());
-    const double scale = peTableEnabled() ? surface_.scaleFast(op)
-                                          : surface_.scaleExact(op);
+    const double scale = delayScale(op);
     if (scale >= kNonFunctionalDelayFactor)
         return 1.0;
     const double threshold = clockPeriod / scale;

@@ -8,11 +8,10 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
+#include "kernels/alpha_power.hh"
 #include "kernels/pe_surface.hh"
-#include "timing/alpha_power.hh"
 #include "timing/path_population.hh"
 #include "variation/process_params.hh"
 
@@ -42,36 +41,19 @@ class StageErrorModel
     /**
      * Probability that one access to this subsystem suffers a timing
      * error when clocked with @p clockPeriod seconds at @p op.
-     *
-     * Queries are memoized in a per-thread cache keyed on this model
-     * plus the exact (period, Vdd, Vbb, T) tuple: the exhaustive knob
-     * scans re-evaluate identical points across phases and retune
-     * cycles, and knob values come from a discrete grid, so exact-bit
-     * keys hit without perturbing any result (a hit returns the very
-     * value a recomputation would).  Set EVAL_PE_CACHE=0 (or call
-     * setPeCacheEnabled(false)) to disable.
-     *
-     * In table mode (EVAL_PE_TABLE / setPeTableEnabled) the delay
-     * scale comes from bounded-error pow tables instead of exact
-     * std::pow; the result equals an exact evaluation at a period
-     * perturbed by at most PeSurface::kScaleRelErrorBound (relative).
-     * Exact mode — the default, and the mode all goldens are recorded
-     * in — never touches the tables.
      */
     double errorRatePerAccess(double clockPeriod,
                               const OperatingConditions &op) const;
 
-    /** Slowest path delay in seconds at @p op.  Always exact. */
+    /** Slowest path delay in seconds at @p op. */
     double maxDelay(const OperatingConditions &op) const;
 
-    /** Error-free frequency at @p op (1 / maxDelay).  Always exact. */
+    /** Error-free frequency at @p op (1 / maxDelay). */
     double fvar(const OperatingConditions &op) const;
 
     /**
      * Highest frequency whose per-access error rate does not exceed
      * @p peBudget at @p op (the per-stage step of the Freq algorithm).
-     * Always exact: rated frequencies feed the golden record in both
-     * modes.
      */
     double maxFrequencyForErrorRate(double peBudget,
                                     const OperatingConditions &op) const;
@@ -86,18 +68,10 @@ class StageErrorModel
     const PeSurface &surface() const { return surface_; }
 
   private:
-    /** Uncached evaluation backing errorRatePerAccess. */
-    double computeErrorRatePerAccess(double clockPeriod,
-                                     const OperatingConditions &op) const;
-
     const ProcessParams params_;
     StageType type_;
     double vt0Mean_;
     double leffMean_;
-    /** Distinct per construction; copies share it (identical content
-     *  yields identical query results, so sharing is safe).  Memo
-     *  cache keys include this id so two chips' models never alias. */
-    std::uint64_t cacheId_;
     /** Compiled levels/index/constants (owns the sorted delays). */
     PeSurface surface_;
 };
@@ -109,29 +83,5 @@ class StageErrorModel
  */
 double processorErrorRate(const std::vector<double> &perAccessRates,
                           const std::vector<double> &rho);
-
-/**
- * Runtime override of the PE memo cache (default: EVAL_PE_CACHE env,
- * on when unset).  Used by the differential-testing driver to prove
- * the cache-on/cache-off bit-identity contract within one process.
- * Cached entries are keyed per model instance, so re-enabling after a
- * disabled run cannot serve stale values.
- */
-void setPeCacheEnabled(bool enabled);
-
-/** Whether errorRatePerAccess currently memoizes. */
-bool peCacheEnabled();
-
-/**
- * Runtime override of PE-table mode (default: EVAL_PE_TABLE env, OFF
- * when unset — the library and the golden record default to exact).
- * Benches turn it on unless the environment pins it (bench_common).
- * Table-mode PE values stay within PeSurface::kScaleRelErrorBound
- * (as a relative period perturbation) of exact mode.
- */
-void setPeTableEnabled(bool enabled);
-
-/** Whether errorRatePerAccess currently uses the fast-scale tables. */
-bool peTableEnabled();
 
 } // namespace eval

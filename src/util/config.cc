@@ -34,13 +34,6 @@ envString(const char *name, const std::string &fallback)
 }
 
 bool
-envHas(const char *name)
-{
-    const char *v = std::getenv(name);
-    return v && *v;
-}
-
-bool
 envBool(const char *name, bool fallback)
 {
     const char *v = std::getenv(name);

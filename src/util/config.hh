@@ -29,9 +29,6 @@ std::string envString(const char *name, const std::string &fallback);
 /** Read a boolean ("1"/"true"/"yes") env var. */
 bool envBool(const char *name, bool fallback);
 
-/** Whether an env var is set to a non-empty value. */
-bool envHas(const char *name);
-
 /** Split a comma-separated string into trimmed non-empty tokens. */
 std::vector<std::string> splitCsvList(const std::string &s);
 

@@ -1,22 +1,18 @@
 /**
  * Kernel-layer equivalence suite: every fast path in src/kernels/
- * must either be bit-identical to the legacy expression it replaced
+ * must be bit-identical to the legacy expression it replaced
  * (scaleExact, upperBoundIndex, lockstep thermal solves, the SoA
- * corner-delay pass, the thermal memo) or stay within the bound it
- * advertises (PowTable, scaleFast vs kScaleRelErrorBound).
+ * corner-delay pass).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "kernels/alpha_power.hh"
-#include "kernels/fast_math.hh"
 #include "kernels/path_soa.hh"
 #include "kernels/pe_surface.hh"
-#include "kernels/thermal_batch.hh"
 #include "thermal/thermal_model.hh"
 #include "timing/error_model.hh"
 #include "timing/path_population.hh"
@@ -39,68 +35,6 @@ makeModel(const Fixture &f, SubsystemId id)
                              static_cast<std::uint64_t>(id) * 13);
     return StageErrorModel(
         f.params, buildPathPopulation(f.chip, 0, id, {}, rng));
-}
-
-/** Restores the kernel toggles around a test body. */
-class ToggleGuard
-{
-  public:
-    ToggleGuard()
-        : cache_(peCacheEnabled()), table_(peTableEnabled()),
-          thermal_(thermalCacheEnabled())
-    {
-    }
-    ~ToggleGuard()
-    {
-        setPeCacheEnabled(cache_);
-        setPeTableEnabled(table_);
-        setThermalCacheEnabled(thermal_);
-    }
-
-  private:
-    bool cache_;
-    bool table_;
-    bool thermal_;
-};
-
-// ---------------------------------------------------------------------------
-// PowTable
-// ---------------------------------------------------------------------------
-
-TEST(PowTable, MeasuredBoundHoldsOnResample)
-{
-    // The same (exponent, range, size) the PE surface installs for
-    // the overdrive term; its measured error must clear the asserted
-    // bound with margin (half of it, per the DESIGN.md derivation).
-    const PowTable &t = powTableFor(1.75, 0.25, 1.5, 4096);
-    ASSERT_GT(t.maxRelError(), 0.0);
-    EXPECT_LT(t.maxRelError(), 0.5 * PeSurface::kScaleRelErrorBound);
-    // Resample at points the builder did not necessarily hit; the
-    // measured bound was taken over a dense per-segment sweep, so a
-    // small margin absorbs sampling phase.
-    for (int i = 0; i <= 10000; ++i) {
-        const double x = 0.25 + (1.5 - 0.25) * i / 10000.0;
-        const double rel = std::abs(t(x) / std::pow(x, 1.75) - 1.0);
-        EXPECT_LE(rel, 1.10 * t.maxRelError() + 1e-15) << "x=" << x;
-    }
-}
-
-TEST(PowTable, OutOfRangeFallsBackToExactPow)
-{
-    const PowTable &t = powTableFor(1.75, 0.25, 1.5, 4096);
-    for (double x : {0.01, 0.249, 1.51, 3.0, 10.0}) {
-        const double exact = std::pow(x, 1.75);
-        EXPECT_EQ(t(x), exact) << "x=" << x;
-    }
-}
-
-TEST(PowTable, RegistryReturnsSameTableForSameKey)
-{
-    const PowTable &a = powTableFor(1.5, 0.5, 2.0, 256);
-    const PowTable &b = powTableFor(1.5, 0.5, 2.0, 256);
-    EXPECT_EQ(&a, &b);
-    const PowTable &c = powTableFor(1.5, 0.5, 2.0, 512);
-    EXPECT_NE(&a, &c);
 }
 
 // ---------------------------------------------------------------------------
@@ -156,29 +90,6 @@ TEST(PeSurface, FirstIndexWithinBudgetMatchesLinearWalk)
     }
     for (double b : budgets)
         EXPECT_EQ(s.firstIndexWithinBudget(b), walk(b)) << "budget=" << b;
-}
-
-TEST(PeSurface, FastScaleWithinAssertedBound)
-{
-    Fixture f;
-    const StageErrorModel model = makeModel(f, SubsystemId::IntReg);
-    const PeSurface &s = model.surface();
-    for (double vdd = 0.70; vdd <= 1.25; vdd += 0.025) {
-        for (double vbb = -0.30; vbb <= 0.30; vbb += 0.15) {
-            for (double t = 40.0; t <= 110.0; t += 7.0) {
-                const OperatingConditions op{vdd, vbb, t};
-                const double exact = s.scaleExact(op);
-                const double fast = s.scaleFast(op);
-                if (exact >= kNonFunctionalDelayFactor) {
-                    EXPECT_GE(fast, kNonFunctionalDelayFactor);
-                    continue;
-                }
-                EXPECT_LE(std::abs(fast / exact - 1.0),
-                          PeSurface::kScaleRelErrorBound)
-                    << "vdd=" << vdd << " vbb=" << vbb << " T=" << t;
-            }
-        }
-    }
 }
 
 TEST(PeSurface, ExactScaleBacksDelayScale)
@@ -244,9 +155,6 @@ makeRequests(const ProcessParams &p)
 
 TEST(ThermalBatch, LockstepBatchMatchesScalarBitwise)
 {
-    ToggleGuard guard;
-    setThermalCacheEnabled(false);
-
     ProcessParams p;
     ThermalModel model(p);
     const auto reqs = makeRequests(p);
@@ -263,61 +171,6 @@ TEST(ThermalBatch, LockstepBatchMatchesScalarBitwise)
         ASSERT_EQ(batch[i].psta, one.psta) << "i=" << i;
         ASSERT_EQ(batch[i].vtEff, one.vtEff) << "i=" << i;
         ASSERT_EQ(batch[i].runaway, one.runaway) << "i=" << i;
-    }
-}
-
-TEST(ThermalBatch, MemoHitsAreBitExact)
-{
-    ToggleGuard guard;
-    ProcessParams p;
-    ThermalModel model(p);
-    const auto reqs = makeRequests(p);
-    const double thC = 62.5;
-
-    setThermalCacheEnabled(false);
-    std::vector<SubsystemThermalState> cold(reqs.size());
-    model.solveMany(reqs.data(), cold.data(), reqs.size(), thC);
-
-    setThermalCacheEnabled(true);
-    std::vector<SubsystemThermalState> warm(reqs.size());
-    std::vector<SubsystemThermalState> hit(reqs.size());
-    model.solveMany(reqs.data(), warm.data(), reqs.size(), thC);
-    model.solveMany(reqs.data(), hit.data(), reqs.size(), thC);
-
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-        ASSERT_EQ(cold[i].tempC, warm[i].tempC) << "i=" << i;
-        ASSERT_EQ(cold[i].tempC, hit[i].tempC) << "i=" << i;
-        ASSERT_EQ(cold[i].psta, hit[i].psta) << "i=" << i;
-        ASSERT_EQ(cold[i].vtEff, hit[i].vtEff) << "i=" << i;
-        ASSERT_EQ(cold[i].runaway, hit[i].runaway) << "i=" << i;
-    }
-}
-
-TEST(ThermalBatch, SaltSeparatesModels)
-{
-    // Two models must never share memo entries even for identical
-    // lane inputs; different process constants give different solves.
-    ToggleGuard guard;
-    setThermalCacheEnabled(true);
-
-    ProcessParams a;
-    ProcessParams b = a;
-    b.tempNominalC = 95.0;   // shifts the Eq 9 Vt reference
-    ThermalModel ma(a);
-    ThermalModel mb(b);
-    const auto reqs = makeRequests(a);
-
-    std::vector<SubsystemThermalState> ra(reqs.size()), rb(reqs.size());
-    ma.solveMany(reqs.data(), ra.data(), reqs.size(), 60.0);
-    mb.solveMany(reqs.data(), rb.data(), reqs.size(), 60.0);
-
-    setThermalCacheEnabled(false);
-    std::vector<SubsystemThermalState> rbCold(reqs.size());
-    mb.solveMany(reqs.data(), rbCold.data(), reqs.size(), 60.0);
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-        // b's answers must match its own cold solve, not a's memo.
-        ASSERT_EQ(rb[i].tempC, rbCold[i].tempC) << "i=" << i;
-        ASSERT_EQ(rb[i].psta, rbCold[i].psta) << "i=" << i;
     }
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "power/knobs.hh"
 #include "timing/error_model.hh"
 #include "timing/path_population.hh"
 #include "variation/chip.hh"
@@ -107,20 +112,96 @@ TEST(StageErrorModel, ZeroErrorsBelowFvar)
               0.0);
 }
 
-TEST(StageErrorModel, ErrorRateMonotoneInFrequency)
+/**
+ * Seeded monotonicity property the optimizer's pruned searches rely
+ * on: over random chips, every subsystem and the whole knob grid
+ * (f, Vdd, Vbb from KnobSpace; T 30-120 C), PE never falls when f or
+ * T rises and never rises when Vdd or Vbb rises.  The delay scale
+ * obeys the same orientation on the (Vdd, Vbb, T) axes.  Each grid
+ * point is compared with its neighbour one step up on every axis.
+ */
+TEST(StageErrorModel, ErrorRateMonotoneOnKnobGrid)
 {
-    Fixture f;
-    StageErrorModel model(f.params, build(f.chip, SubsystemId::Decode));
-    const OperatingConditions corner =
-        OperatingConditions::nominal(f.params);
-    double prev = -1.0;
-    for (double fr = 0.7; fr <= 1.6; fr += 0.05) {
-        const double pe = model.errorRatePerAccess(
-            1.0 / (fr * f.params.freqNominal), corner);
-        EXPECT_GE(pe, prev);
-        prev = pe;
+    const ProcessParams params;
+    const KnobSpace knobs;
+    const std::vector<double> &fs = knobs.freq.values();
+    const std::vector<double> &vdds = knobs.vdd.values();
+    const std::vector<double> &vbbs = knobs.vbb.values();
+    std::vector<double> temps;
+    for (int t = 30; t <= 120; t += 10)
+        temps.push_back(t);
+    const std::size_t nv = vdds.size(), nb = vbbs.size(), nt = temps.size();
+
+    std::size_t pairs = 0;
+    std::size_t violations = 0;
+    std::string firstViolation;
+    // Compares every point of a [Vdd][Vbb][T][f] grid (f of extent
+    // nf) with its neighbour one step up on each axis: the value must
+    // not fall along T and f, and must not rise along Vdd and Vbb.
+    const auto checkGrid = [&](const std::vector<double> &v, std::size_t nf,
+                               const std::string &what) {
+        static const char *const kAxis[4] = {"Vdd", "Vbb", "T", "f"};
+        const std::size_t dims[4] = {nv, nb, nt, nf};
+        const bool rising[4] = {false, false, true, true};
+        const std::size_t stride[4] = {nb * nt * nf, nt * nf, nf, 1};
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            for (std::size_t d = 0; d < 4; ++d) {
+                if ((i / stride[d]) % dims[d] + 1 == dims[d])
+                    continue;
+                const double here = v[i], up = v[i + stride[d]];
+                ++pairs;
+                if (rising[d] ? here <= up : up <= here)
+                    continue;
+                if (violations++ > 0)
+                    continue;
+                std::ostringstream out;
+                out.precision(17);
+                out << what << " Vdd=" << vdds[i / stride[0]]
+                    << " Vbb=" << vbbs[(i / stride[1]) % nb]
+                    << " T=" << temps[(i / stride[2]) % nt] << " f#"
+                    << i % nf << ", " << kAxis[d] << "+: " << here
+                    << " -> " << up;
+                firstViolation = out.str();
+            }
+        }
+    };
+
+    ChipFactory factory(params, 0x6d6f6e6fULL);
+    std::vector<double> scale, pe;
+    for (std::size_t c = 0; c < 20; ++c) {
+        const Chip chip = factory.manufacture();
+        for (std::size_t s = 0; s < kNumSubsystems; ++s) {
+            const StageErrorModel model(
+                params, build(chip, static_cast<SubsystemId>(s)));
+            scale.clear();
+            pe.clear();
+            for (double vdd : vdds)
+                for (double vbb : vbbs)
+                    for (double t : temps) {
+                        const OperatingConditions op{vdd, vbb, t};
+                        scale.push_back(model.delayScale(op));
+                        for (double f : fs)
+                            pe.push_back(
+                                model.errorRatePerAccess(1.0 / f, op));
+                    }
+            const std::string where = "chip " + std::to_string(c) +
+                                      " subsystem " + std::to_string(s);
+            checkGrid(scale, 1, where + " scale");
+            checkGrid(pe, fs.size(), where + " PE");
+        }
     }
-    EXPECT_GT(prev, 0.5);   // deep overclock fails nearly always
+    EXPECT_EQ(violations, 0u)
+        << violations << " of " << pairs
+        << " neighbour pairs break monotonicity; first: " << firstViolation;
+    EXPECT_GT(pairs, 1000000u);
+
+    // Deep overclock at the design corner fails nearly always.
+    Fixture f;
+    const StageErrorModel decode(f.params, build(f.chip, SubsystemId::Decode));
+    EXPECT_GT(decode.errorRatePerAccess(
+                  1.0 / (1.6 * f.params.freqNominal),
+                  OperatingConditions::nominal(f.params)),
+              0.5);
 }
 
 TEST(StageErrorModel, MemoryOnsetSteeperThanLogic)
@@ -235,51 +316,6 @@ TEST(StageErrorModel, BudgetExactlyOnLevelKeepsTheTieInclusive)
                   budget * (1.0 + 1e-9));
         EXPECT_LE(below, atLevel);
     }
-}
-
-/**
- * Differential table-vs-exact contract over a dense (period, Vdd, T)
- * grid.  A relative delay-scale error of delta is exactly a backward
- * perturbation of the queried period, so table-mode PE must sit
- * between the exact PE at periods perturbed by +/- delta
- * (kScaleRelErrorBound).  PE is nonincreasing in period, hence the
- * bracket orientation.
- */
-TEST(StageErrorModel, TableModeWithinBackwardErrorBracket)
-{
-    const bool cacheWas = peCacheEnabled();
-    const bool tableWas = peTableEnabled();
-    // The memo key does not include the mode, so keep it off while
-    // toggling table mode back and forth.
-    setPeCacheEnabled(false);
-
-    Fixture f;
-    StageErrorModel model(f.params, build(f.chip, SubsystemId::Dcache));
-    const double delta = PeSurface::kScaleRelErrorBound;
-    const double tNom = 1.0 / f.params.freqNominal;
-    for (double vdd = 0.8; vdd <= 1.2; vdd += 0.1) {
-        for (double t = 45.0; t <= 105.0; t += 20.0) {
-            const OperatingConditions op{vdd, 0.0, t};
-            for (double pr = 0.6; pr <= 1.4; pr += 0.02) {
-                const double period = pr * tNom;
-                setPeTableEnabled(false);
-                const double lo =
-                    model.errorRatePerAccess(period * (1.0 + delta), op);
-                const double hi =
-                    model.errorRatePerAccess(period * (1.0 - delta), op);
-                setPeTableEnabled(true);
-                const double table =
-                    model.errorRatePerAccess(period, op);
-                ASSERT_GE(table, lo) << "vdd=" << vdd << " T=" << t
-                                     << " period=" << period;
-                ASSERT_LE(table, hi) << "vdd=" << vdd << " T=" << t
-                                     << " period=" << period;
-            }
-        }
-    }
-
-    setPeCacheEnabled(cacheWas);
-    setPeTableEnabled(tableWas);
 }
 
 TEST(PipelineModel, Eq4SumsActivityWeightedRates)
