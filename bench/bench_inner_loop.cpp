@@ -1,9 +1,14 @@
 /**
  * @file
- * Microbench for the simulation inner loop: per-kernel ns/eval for the
- * PE(f) evaluation, the alpha-power delay scale, the
+ * The microbench harness.  Per-kernel latencies for the simulation
+ * inner loop (the PE(f) evaluation, the alpha-power delay scale, the
  * max-frequency-for-budget query, the thermal fixed-point solve, the
- * whole-core evaluation, and the path-population build.
+ * whole-core evaluation, the path-population build), for the
+ * controller (one fuzzy inference, and a full controller invocation
+ * by the fuzzy controllers and by exhaustive search: the paper's
+ * ~6 us claim, Sec 4.3.3), for the front end (trace generation, core
+ * simulation, chip manufacture), and for the instrumentation
+ * primitives (a contended Counter::inc, a disabled/enabled ScopedSpan).
  *
  * Every metric lands in the BENCH_JSON footer so benchtrack can track
  * the per-kernel trajectory alongside the end-to-end figure benches.
@@ -14,6 +19,7 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <thread>
 
 #include "bench_common.hh"
 
@@ -31,6 +37,29 @@ nsPerCall(std::size_t iters, Fn &&body)
     const auto t0 = Clock::now();
     for (std::size_t i = 0; i < iters; ++i)
         body(i);
+    const auto t1 = Clock::now();
+    const double ns = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+            .count());
+    return ns / static_cast<double>(iters);
+}
+
+/** nsPerCall with @p threads threads running @p body concurrently:
+ *  wall ns per call as each thread sees it (the contended cost). */
+template <typename Fn>
+double
+nsPerCallThreaded(std::size_t threads, std::size_t iters, Fn &&body)
+{
+    const auto t0 = Clock::now();
+    {
+        std::vector<std::jthread> workers; // joined on scope exit
+        for (std::size_t t = 0; t < threads; ++t) {
+            workers.emplace_back([&] {
+                for (std::size_t i = 0; i < iters; ++i)
+                    body(i);
+            });
+        }
+    }
     const auto t1 = Clock::now();
     const double ns = static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
@@ -190,6 +219,129 @@ main()
         });
         reporter.metric("path_build_us", us);
         std::printf("path_build           %10.2f us/build\n", us);
+    }
+
+    // --- Controller invocation cost (Sec 4.3.3).  A one-chip context
+    // trains the fuzzy controllers and characterizes swim outside the
+    // timed sections.
+    cfg.simInsts = 60000;
+    ExperimentContext ctx(cfg);
+    const PhaseCharacterization &swim =
+        ctx.characterizations().get(appByName("swim")).phases[0].chr;
+    CoreSystemModel &ctxCore = ctx.coreModel(0, 0);
+    ctxCore.setAppType(true);
+    {
+        const CoreFuzzySystem &fc = ctx.coreFuzzy(
+            0, 0, environmentCaps(EnvironmentKind::TS_ASV));
+        const double ns = nsPerCall(100000, [&](std::size_t i) {
+            sink += fc.predictFmax(SubsystemId::Icache,
+                                   60.0 + 0.01 * (i % 512), 0.3, false);
+        });
+        reporter.metric("fuzzy_inference_ns", ns);
+        std::printf("fuzzy_inference      %10.1f ns/eval\n", ns);
+    }
+    const EnvCapabilities fullCaps =
+        environmentCaps(EnvironmentKind::TS_ASV_Q_FU);
+    {
+        // One full controller pass over all subsystems (Freq + Power
+        // algorithms via the FCs): the "6 us on a 4 GHz processor"
+        // claim.
+        FuzzyOptimizer fuzzy(ctx.coreFuzzy(0, 0, fullCaps));
+        CoreOptimizer opt(fuzzy, fullCaps, cfg.constraints, cfg.recovery);
+        const double us = 1e-3 * nsPerCall(2000, [&](std::size_t) {
+            sink += opt.choose(ctxCore, swim, 65.0).op.freq;
+        });
+        reporter.metric("fuzzy_invocation_us", us);
+        std::printf("fuzzy_invocation     %10.2f us/call\n", us);
+    }
+    {
+        // What the controller replaces: the same decision by
+        // exhaustive search (Sec 4.3.1).
+        ExhaustiveOptimizer exh(fullCaps, cfg.constraints);
+        CoreOptimizer opt(exh, fullCaps, cfg.constraints, cfg.recovery);
+        const double us = 1e-3 * nsPerCall(20, [&](std::size_t) {
+            sink += opt.choose(ctxCore, swim, 65.0).op.freq;
+        });
+        reporter.metric("exhaustive_invocation_us", us);
+        std::printf("exhaustive_invocation%10.2f us/call\n", us);
+    }
+
+    // --- Front end: synthetic trace generation, core simulation
+    // (10k-instruction runs on a warm core) and chip manufacture.
+    {
+        SyntheticTrace trace(appByName("gcc"), 1);
+        MicroOp op;
+        const double ns = nsPerCall(500000, [&](std::size_t) {
+            trace.next(op);
+            sink += static_cast<double>(op.pc);
+        });
+        reporter.metric("trace_gen_ns", ns);
+        std::printf("trace_gen            %10.1f ns/op\n", ns);
+    }
+    {
+        Core core(CoreConfig{}, 1);
+        SyntheticTrace trace(appByName("gzip"), 1);
+        core.run(trace, 50000);
+        const double ns = 1e-4 * nsPerCall(50, [&](std::size_t) {
+            sink += static_cast<double>(core.run(trace, 10000).cycles);
+        });
+        reporter.metric("core_sim_ns_per_inst", ns);
+        std::printf("core_sim             %10.1f ns/inst\n", ns);
+    }
+    {
+        ChipFactory mfg(proc, 9);
+        const double ms = 1e-6 * nsPerCall(10, [&](std::size_t) {
+            sink += static_cast<double>(mfg.manufacture().id());
+        });
+        reporter.metric("chip_manufacture_ms", ms);
+        std::printf("chip_manufacture     %10.2f ms/chip\n", ms);
+    }
+
+    // --- Instrumentation primitives.  Parallel per-chip tasks bump
+    // shared counters, so the relaxed fetch_add must stay cheap with
+    // four threads on one cache line.
+    {
+        Counter &counter =
+            StatRegistry::global().counter("microbench.contended");
+        const auto inc = [&](std::size_t) { counter.inc(); };
+        const double ns1 = nsPerCallThreaded(1, 1000000, inc);
+        const double ns4 = nsPerCallThreaded(4, 1000000, inc);
+        reporter.metric("counter_inc_ns", ns1);
+        reporter.metric("counter_inc_4t_ns", ns4);
+        std::printf("counter_inc          %10.1f ns/inc (4 threads: "
+                    "%.1f)\n", ns1, ns4);
+    }
+    {
+        // Disabled: one relaxed load, no clock read or allocation (the
+        // cost every instrumented site pays without --trace-spans).
+        // Enabled: two clock reads and an append to the thread's own
+        // ring; args add string formatting.  The tracer's prior state
+        // is restored, and its buffers are cleared only when it was
+        // off, so a traced bench run keeps its own spans.
+        SpanTracer &tracer = SpanTracer::global();
+        const bool wasTracing = tracer.enabled();
+        tracer.setEnabled(false);
+        const double off = nsPerCall(1000000, [&](std::size_t) {
+            ScopedSpan span("microbench.disabled");
+        });
+        tracer.setEnabled(true);
+        const double on = nsPerCall(100000, [&](std::size_t) {
+            ScopedSpan span("microbench.enabled");
+        });
+        const double withArgs = nsPerCall(100000, [&](std::size_t i) {
+            ScopedSpan span("microbench.enabled_args");
+            span.arg("index", i);
+            span.arg("ratio", 0.5);
+        });
+        tracer.setEnabled(wasTracing);
+        if (!wasTracing)
+            tracer.clear();
+        reporter.metric("span_disabled_ns", off);
+        reporter.metric("span_enabled_ns", on);
+        reporter.metric("span_enabled_args_ns", withArgs);
+        std::printf("span_disabled        %10.1f ns/span\n", off);
+        std::printf("span_enabled         %10.1f ns/span\n", on);
+        std::printf("span_enabled_args    %10.1f ns/span\n", withArgs);
     }
 
     g_sink = sink;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "stats/stat_registry.hh"
 #include "util/logging.hh"
 
 namespace eval {
@@ -546,9 +545,6 @@ Core::retire(std::uint64_t now, unsigned maxRetire)
 CoreStats
 Core::run(TraceSource &trace, std::uint64_t numInstructions)
 {
-    static TimerStat &timer =
-        StatRegistry::global().timer("profile.arch.core_run");
-    ScopedTimer scope(timer);
     stats_ = CoreStats{};
     rob_.clear();
     fetchQueue_.clear();

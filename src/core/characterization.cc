@@ -2,7 +2,7 @@
 
 #include "arch/core.hh"
 #include "obs/progress.hh"
-#include "stats/stat_registry.hh"
+#include "trace/span_tracer.hh"
 #include "util/logging.hh"
 
 namespace eval {
@@ -49,9 +49,8 @@ CharacterizationCache::get(const AppProfile &profile)
 AppCharacterization
 CharacterizationCache::characterize(const AppProfile &profile)
 {
-    static TimerStat &timer =
-        StatRegistry::global().timer("profile.characterize.app");
-    ScopedTimer scope(timer);
+    ScopedSpan span("characterize.app");
+    span.arg("app", profile.name);
     AppCharacterization app;
     app.name = profile.name;
     app.isFp = profile.isFp;
@@ -86,9 +85,13 @@ CharacterizationCache::characterize(const AppProfile &profile)
             SyntheticTrace trace(profile, seed_ ^ (p * 7919));
             trace.pinPhase(p);
             Core core(cfg, seed_ ^ 0xC0DE ^ p);
+            const auto probe = [&] {
+                ScopedSpan runSpan("arch.core_run");
+                return core.run(trace, simInsts_);
+            };
             // Warm caches and predictors, then measure.
-            core.run(trace, simInsts_);
-            const CoreStats stats = core.run(trace, simInsts_);
+            probe();
+            const CoreStats stats = probe();
 
             const PerfInputs in = PerfInputs::fromStats(
                 stats, refFreqHz_, recovery_.penaltyCycles);

@@ -1,8 +1,9 @@
 /**
  * @file
  * Umbrella header for the observability subsystem: the hierarchical
- * stat registry (counters/gauges/histograms/timers + ScopedTimer
- * profiling) and the adaptation decision trace.
+ * stat registry (counters/gauges/histograms) and the adaptation
+ * decision trace.  Wall-clock profiling lives in the span tracer
+ * (trace/span_tracer.hh).
  */
 
 #pragma once

@@ -42,9 +42,6 @@ ThermalModel::solveMany(const SubsystemThermalRequest *requests,
         StatRegistry::global().counter("thermal.solves");
     static Counter &runaways =
         StatRegistry::global().counter("thermal.runaways");
-    static TimerStat &timer =
-        StatRegistry::global().timer("profile.thermal.solve_subsystem");
-    ScopedTimer scope(timer);
     // Sampled 1-in-64: called per candidate operating point, far too
     // hot for an every-call span (DESIGN.md Sec 5e).
     static thread_local std::uint64_t spanTick = 0;

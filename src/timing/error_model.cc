@@ -75,9 +75,6 @@ StageErrorModel::errorRatePerAccess(double clockPeriod,
     static Counter &evals =
         StatRegistry::global().counter("timing.error_evals");
     evals.inc();
-    static TimerStat &timer =
-        StatRegistry::global().timer("profile.timing.error_eval");
-    ScopedTimer scope(timer);
     // Sampled 1-in-64: a full PE evaluation is only an indexed lookup,
     // so an every-call span would dominate its own measurement (the
     // ≤3% overhead budget, DESIGN.md Sec 5e).

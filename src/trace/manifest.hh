@@ -13,7 +13,7 @@
  *
  *   {
  *     "schema_version": 1,
- *     "tool": "bench_microbench",
+ *     "tool": "bench_inner_loop",
  *     "git_sha": "abc123...",
  *     "build": {"type": ..., "compiler": ..., "flags": ...,
  *               "sanitizer": ...},

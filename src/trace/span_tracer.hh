@@ -2,15 +2,15 @@
  * @file
  * Low-overhead span tracer with Chrome/Perfetto trace_event export.
  *
- * Where the stats layer (src/stats) answers "how much time went into
- * region X in total", spans answer "where did the wall-clock of THIS
+ * Where the stats layer (src/stats) answers "how many events of kind
+ * X", spans answer "where did the wall-clock of THIS
  * run go, on which thread, nested under what": every instrumented
  * region records one complete event (begin timestamp + duration +
  * thread id + optional key/value args), and the whole run exports as
  * a single JSON file that https://ui.perfetto.dev (or Chrome's
  * about:tracing) renders as a multi-thread timeline.
  *
- * Design (mirrors the ScopedTimer conventions in src/stats):
+ * Design:
  *  - Disabled is the hot case: a ScopedSpan on a disabled tracer
  *    costs one relaxed atomic load and records nothing — no clock
  *    read, no allocation, no lock.  Benches assert this stays true
@@ -36,9 +36,8 @@
  *    profile.json (see DESIGN.md Sec 5j for the schema and the
  *    cross-shard merge semantics).
  *  - This file is the sanctioned home of wall-clock reads for
- *    tracing, alongside src/stats for profiling (see the
- *    det-wallclock lint rule): model code must not read clocks, but
- *    may open spans freely.
+ *    tracing and profiling (see the det-wallclock lint rule): model
+ *    code must not read clocks, but may open spans freely.
  *
  * Escape hatch discipline: ScopedSpan is the ONLY way model code may
  * create spans.  The raw beginSpan/endSpan handle API exists for the

@@ -51,7 +51,7 @@ scanSource(const std::string &in)
                           prefix == "UR" || prefix == "LR";
                 }
                 if (raw) {
-                    rawDelim = ")";
+                    rawDelim.assign(1, ')');
                     for (std::size_t j = i + 1;
                          j < in.size() && in[j] != '('; ++j)
                         rawDelim.push_back(in[j]);
