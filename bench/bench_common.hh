@@ -34,7 +34,6 @@
  *                          ETA, RSS, stats) to the path every
  *                          EVAL_STATUS_INTERVAL_MS (default 500) via
  *                          rename-into-place; watch it with eval_top
- *   EVAL_STATUS_PROM=path  also publish Prometheus text exposition
  * The telemetry dump is registered with ExitFlush at construction, so
  * files survive fatal()/uncaught-exception exits mid-bench; the
  * sampler likewise registers a final-snapshot closure.
@@ -107,18 +106,15 @@ class BenchReporter
         // runs (DESIGN.md Sec 5f).  The sampler registers its own
         // ExitFlush closure so the final snapshot survives crashes.
         const std::string statusPath = envString("EVAL_STATUS_OUT", "");
-        const std::string promPath = envString("EVAL_STATUS_PROM", "");
-        if (!statusPath.empty() || !promPath.empty()) {
+        if (!statusPath.empty()) {
             SamplerConfig sampler;
             sampler.tool = name_;
             sampler.statusPath = statusPath;
-            sampler.promPath = promPath;
             sampler.intervalMs = static_cast<std::uint64_t>(
                 envInt("EVAL_STATUS_INTERVAL_MS", 500));
             MetricsSampler::global().configure(sampler);
             MetricsSampler::global().start();
-            if (!statusPath.empty())
-                RunManifest::global().setOutput("status", statusPath);
+            RunManifest::global().setOutput("status", statusPath);
         }
 
         // Registered up front so a bench that dies mid-run (fatal(),
@@ -325,18 +321,10 @@ allSchemes()
             AdaptScheme::ExhDyn};
 }
 
-/** One chip's sweep samples: [app][baseline, novar, managed...]. */
-struct ChipSweepRuns
-{
-    std::vector<AppRunResult> base;
-    std::vector<AppRunResult> novar;
-    /** [app * numManaged + (env, scheme) flat index] */
-    std::vector<AppRunResult> managed;
-};
-
 /**
- * Run the Figure 10-12 sweep.  Each application runs on one core of
- * each chip (core rotates so all four quadrants are exercised).
+ * Run the Figure 10-12 sweep: runChipSweep on every chip.  Each
+ * application runs on one core of each chip (core rotates so all four
+ * quadrants are exercised).
  *
  * Chips fan out across the global thread pool (one task per chip —
  * each task drives its own per-chip core models; the shared context
@@ -370,25 +358,8 @@ runEnvironmentSweep(ExperimentContext &ctx,
 
     const auto perChip = globalPool().parallelMap(
         static_cast<std::size_t>(chips), [&](std::size_t chip) {
-            ChipSweepRuns runs;
-            runs.base.resize(apps.size());
-            runs.novar.resize(apps.size());
-            runs.managed.resize(apps.size() * numManaged);
-            for (std::size_t a = 0; a < apps.size(); ++a) {
-                const AppProfile &app = *apps[a];
-                const std::size_t core = (chip + a) % 4;
-                runs.base[a] = ctx.runApp(chip, core, app,
-                                          EnvironmentKind::Baseline,
-                                          AdaptScheme::Static);
-                runs.novar[a] = ctx.runApp(chip, core, app,
-                                           EnvironmentKind::NoVar,
-                                           AdaptScheme::Static);
-                std::size_t m = a * numManaged;
-                for (EnvironmentKind env : envs)
-                    for (AdaptScheme scheme : schemes)
-                        runs.managed[m++] =
-                            ctx.runApp(chip, core, app, env, scheme);
-            }
+            ChipSweepRuns runs =
+                runChipSweep(ctx, chip, apps, envs, schemes);
             chipProgress.tick();
             if (progress && !isQuiet()) {
                 std::fprintf(stderr, "[bench] chip %zu/%d done\n",

@@ -47,9 +47,8 @@
  *                      chips/sec, ETA, RSS, stats) to FILE every
  *                      --status-interval-ms (default 500) via
  *                      rename-into-place; watch with eval_top.
- *                      --status-prom=FILE adds Prometheus text
- *                      exposition.  Defaults from EVAL_STATUS_OUT /
- *                      EVAL_STATUS_PROM / EVAL_STATUS_INTERVAL_MS.
+ *                      Defaults from EVAL_STATUS_OUT /
+ *                      EVAL_STATUS_INTERVAL_MS.
  * With any of these flags present the command defaults to `run`.
  * All telemetry files are registered with ExitFlush, so they are
  * written even when the run dies via fatal()/uncaught exception.
@@ -484,9 +483,6 @@ main(int argc, char **argv)
     const char *statusEnv = std::getenv("EVAL_STATUS_OUT");
     const std::string statusOut =
         args.getString("status-out", statusEnv ? statusEnv : "");
-    const char *promEnv = std::getenv("EVAL_STATUS_PROM");
-    const std::string statusProm =
-        args.getString("status-prom", promEnv ? promEnv : "");
     const std::int64_t statusIntervalMs = args.getInt(
         "status-interval-ms", envInt("EVAL_STATUS_INTERVAL_MS", 500));
     // --threads=N overrides EVAL_THREADS / hardware concurrency (0 =
@@ -512,19 +508,17 @@ main(int argc, char **argv)
 
     // Live telemetry: start the sampler before the command runs so
     // eval_top can watch the whole campaign (DESIGN.md Sec 5f).
-    if (!statusOut.empty() || !statusProm.empty()) {
+    if (!statusOut.empty()) {
         SamplerConfig sampler;
         sampler.tool = "eval_cli";
         sampler.statusPath = statusOut;
-        sampler.promPath = statusProm;
         sampler.intervalMs = statusIntervalMs > 0
                                  ? static_cast<std::uint64_t>(
                                        statusIntervalMs)
                                  : 500;
         MetricsSampler::global().configure(sampler);
         MetricsSampler::global().start();
-        if (!statusOut.empty())
-            RunManifest::global().setOutput("status", statusOut);
+        RunManifest::global().setOutput("status", statusOut);
     }
 
     // Telemetry survives fatal()/uncaught exceptions: the flush runs

@@ -1,6 +1,7 @@
 #include "core/environment.hh"
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 
 #include "core/perf_model.hh"
@@ -69,6 +70,30 @@ adaptSchemeName(AdaptScheme s)
       case AdaptScheme::ExhDyn:   return "Exh-Dyn";
     }
     return "?";
+}
+
+const std::array<VoltageEnv, kNumVoltageEnvs> &
+fig13VoltageEnvs()
+{
+    static const std::array<VoltageEnv, kNumVoltageEnvs> envs = {{
+        {"a_ts", false, false},
+        {"b_ts_abb", true, false},
+        {"c_ts_asv", false, true},
+        {"d_ts_abb_asv", true, true},
+    }};
+    return envs;
+}
+
+EnvCapabilities
+fig13Caps(const VoltageEnv &env)
+{
+    EnvCapabilities caps;
+    caps.timingSpec = true;
+    caps.abb = env.abb;
+    caps.asv = env.asv;
+    caps.fuReplication = true;
+    caps.queueResize = true;
+    return caps;
 }
 
 ExperimentConfig
@@ -554,6 +579,70 @@ ExperimentContext::runApp(std::size_t chipIndex, std::size_t core,
 
     res.perfRel = reference > 0.0 ? res.perfRel / reference : 0.0;
     return res;
+}
+
+std::array<std::uint64_t, kNumRetuneOutcomes>
+chipOutcomes(ExperimentContext &ctx, std::size_t chip,
+             const EnvCapabilities &caps, AdaptScheme scheme)
+{
+    EVAL_ASSERT(scheme != AdaptScheme::Static,
+                "the Fig 13 outcome mix is a dynamic-controller study");
+    // Controller invocations happen at this heat-sink temperature.
+    constexpr double kThC = 65.0;
+    const auto apps = ctx.selectedApps();
+
+    std::array<std::uint64_t, kNumRetuneOutcomes> outcomes{};
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        const AppProfile &app = *apps[a];
+        const std::size_t coreIdx = (chip + a) % 4;
+        CoreSystemModel &core = ctx.coreModel(chip, coreIdx);
+        core.setAppType(app.isFp);
+
+        // Fresh optimizer + controller per app: the controller's
+        // saved-config table must not leak across apps or environments.
+        std::unique_ptr<SubsystemOptimizer> sub;
+        if (scheme == AdaptScheme::FuzzyDyn)
+            sub = std::make_unique<FuzzyOptimizer>(
+                ctx.coreFuzzy(chip, coreIdx, caps));
+        else
+            sub = std::make_unique<ExhaustiveOptimizer>(
+                caps, ctx.config().constraints);
+        DynamicController ctl(*sub, caps, ctx.config().constraints,
+                              ctx.config().recovery);
+
+        const AppCharacterization &chr = ctx.characterizations().get(app);
+        for (std::size_t p = 0; p < chr.phases.size(); ++p) {
+            const PhaseAdaptation ad =
+                ctl.adaptPhase(core, p, chr.phases[p].chr, kThC);
+            if (!ad.reusedSaved)
+                ++outcomes[static_cast<std::size_t>(ad.outcome)];
+        }
+    }
+    return outcomes;
+}
+
+ChipSweepRuns
+runChipSweep(ExperimentContext &ctx, std::size_t chip,
+             const std::vector<const AppProfile *> &apps,
+             const std::vector<EnvironmentKind> &envs,
+             const std::vector<AdaptScheme> &schemes)
+{
+    ChipSweepRuns runs;
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        const AppProfile &app = *apps[a];
+        const std::size_t core = (chip + a) % 4;
+        runs.base.push_back(ctx.runApp(chip, core, app,
+                                       EnvironmentKind::Baseline,
+                                       AdaptScheme::Static));
+        runs.novar.push_back(ctx.runApp(chip, core, app,
+                                        EnvironmentKind::NoVar,
+                                        AdaptScheme::Static));
+        for (EnvironmentKind env : envs)
+            for (AdaptScheme scheme : schemes)
+                runs.managed.push_back(
+                    ctx.runApp(chip, core, app, env, scheme));
+    }
+    return runs;
 }
 
 } // namespace eval

@@ -4,10 +4,18 @@
  * bench: manufacture chips, characterize workloads, run an application
  * on a core under an environment + adaptation scheme, and report the
  * relative frequency / performance / power metrics of Figures 10-12.
+ *
+ * Each paper figure's per-chip work lives here once: runChipSweep is
+ * one chip of the Figure 10-12 environment x scheme sweep, and
+ * chipOutcomes is one chip of the Figure 13 outcome mix under one
+ * voltage environment.  The benches, the golden experiments and the
+ * sharded campaign all fan these out and fold their results.
  */
 
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -44,6 +52,26 @@ EnvCapabilities environmentCaps(EnvironmentKind kind);
 enum class AdaptScheme { Static, FuzzyDyn, ExhDyn };
 
 const char *adaptSchemeName(AdaptScheme s);
+
+/** Number of RetuneOutcome values (Fig 13 outcome classes). */
+constexpr std::size_t kNumRetuneOutcomes = 5;
+
+/** One Figure 13 voltage environment: TS plus its ABB/ASV bits. */
+struct VoltageEnv
+{
+    const char *tag;
+    bool abb;
+    bool asv;
+};
+
+constexpr std::size_t kNumVoltageEnvs = 4;
+
+/** Figure 13's voltage environments A-D, tagged a_ts ... d_ts_abb_asv. */
+const std::array<VoltageEnv, kNumVoltageEnvs> &fig13VoltageEnvs();
+
+/** Capabilities of one Fig 13 voltage environment in the FU+Queue
+ *  technique row (TS + FU + Queue plus the env's ABB/ASV bits). */
+EnvCapabilities fig13Caps(const VoltageEnv &env);
 
 /** Per-(app, chip, core, environment, scheme) result. */
 struct AppRunResult
@@ -227,6 +255,40 @@ class ExperimentContext
     std::map<std::tuple<std::size_t, std::size_t, int, bool>,
              OperatingPoint> staticConfigs_;
 };
+
+/**
+ * One chip of Figure 13: every selected app runs its phases through a
+ * fresh dynamic controller (app a on core (chip + a) % 4, heat sink at
+ * 65 C) under @p caps, and the outcomes of the fresh retunes are
+ * tallied by RetuneOutcome (saved-config reuses are not invocations).
+ * @p scheme must be FuzzyDyn or ExhDyn.  Touches only chip @p chip's
+ * caches, so any fan-out over chips gives the same tallies.
+ */
+std::array<std::uint64_t, kNumRetuneOutcomes>
+chipOutcomes(ExperimentContext &ctx, std::size_t chip,
+             const EnvCapabilities &caps, AdaptScheme scheme);
+
+/** One chip's Figure 10-12 sweep runs. */
+struct ChipSweepRuns
+{
+    /** [app] */
+    std::vector<AppRunResult> base;
+    std::vector<AppRunResult> novar;
+    /** [app * envs.size() * schemes.size() + env * schemes.size() +
+     *  scheme] */
+    std::vector<AppRunResult> managed;
+};
+
+/**
+ * One chip of the Figure 10-12 sweep: each app (on core
+ * (chip + a) % 4) runs Baseline, NoVar, then every (env, scheme)
+ * pair in order.  Prewarm novarPerf for @p apps before fanning this
+ * out over chips (see ExperimentContext).
+ */
+ChipSweepRuns runChipSweep(ExperimentContext &ctx, std::size_t chip,
+                           const std::vector<const AppProfile *> &apps,
+                           const std::vector<EnvironmentKind> &envs,
+                           const std::vector<AdaptScheme> &schemes);
 
 } // namespace eval
 

@@ -105,20 +105,6 @@ slurpSmall(const char *path)
     return std::string(buf, n);
 }
 
-std::string
-promSanitize(const std::string &name)
-{
-    std::string out = name;
-    for (char &c : out) {
-        const bool ok = (c >= 'a' && c <= 'z') ||
-                        (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '_';
-        if (!ok)
-            c = '_';
-    }
-    return out;
-}
-
 } // namespace
 
 ResourceSample
@@ -351,7 +337,7 @@ MetricsSampler::sampleNow(bool final)
 bool
 MetricsSampler::publish(const StatusSnapshot &snap)
 {
-    std::string statusPath, promPath;
+    std::string statusPath;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         // Once the final snapshot is out (crash-path flush racing the
@@ -360,20 +346,14 @@ MetricsSampler::publish(const StatusSnapshot &snap)
         if (finalPublished_ && !snap.final)
             return false;
         statusPath = config_.statusPath;
-        promPath = config_.promPath;
     }
-    bool ok = true;
-    if (!statusPath.empty()) {
-        if (writeFileAtomic(statusPath, statusJson(snap))) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++published_;
-        } else {
-            ok = false;
-        }
-    }
-    if (!promPath.empty())
-        ok = writeFileAtomic(promPath, prometheusText(snap)) && ok;
-    return ok;
+    if (statusPath.empty())
+        return true;
+    if (!writeFileAtomic(statusPath, statusJson(snap)))
+        return false;
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++published_;
+    return true;
 }
 
 std::vector<StatusSnapshot>
@@ -433,55 +413,6 @@ MetricsSampler::statusJson(const StatusSnapshot &snap)
     }
     out += snap.stats.empty() ? "}\n" : "\n  }\n";
     out += "}\n";
-    return out;
-}
-
-std::string
-MetricsSampler::prometheusText(const StatusSnapshot &snap)
-{
-    const std::string run = "{run=" + quoted(snap.tool);
-    std::string out;
-    out += "# TYPE eval_up gauge\n";
-    out += "eval_up" + run + "} 1\n";
-    out += "# TYPE eval_uptime_seconds gauge\n";
-    out += "eval_uptime_seconds" + run + "} " +
-           jsonDouble(snap.uptimeS) + "\n";
-    out += "# TYPE eval_rss_kb gauge\n";
-    out += "eval_rss_kb" + run + "} " +
-           std::to_string(snap.resources.rssKb) + "\n";
-    out += "# TYPE eval_peak_rss_kb gauge\n";
-    out += "eval_peak_rss_kb" + run + "} " +
-           std::to_string(snap.resources.peakRssKb) + "\n";
-    out += "# TYPE eval_cpu_seconds_total counter\n";
-    out += "eval_cpu_seconds_total" + run + ",mode=\"user\"} " +
-           jsonDouble(snap.resources.cpuUserS) + "\n";
-    out += "eval_cpu_seconds_total" + run + ",mode=\"system\"} " +
-           jsonDouble(snap.resources.cpuSysS) + "\n";
-    out += "# TYPE eval_threads gauge\n";
-    out += "eval_threads" + run + "} " +
-           std::to_string(snap.resources.threads) + "\n";
-    if (!snap.progress.empty()) {
-        out += "# TYPE eval_progress_total gauge\n";
-        out += "# TYPE eval_progress_done gauge\n";
-        out += "# TYPE eval_progress_rate_per_second gauge\n";
-        for (const ProgressSample &p : snap.progress) {
-            const std::string label =
-                run + ",tracker=" + quoted(p.name) + "} ";
-            out += "eval_progress_total" + label +
-                   std::to_string(p.total) + "\n";
-            out += "eval_progress_done" + label +
-                   std::to_string(p.done) + "\n";
-            out += "eval_progress_rate_per_second" + label +
-                   jsonDouble(p.ratePerS) + "\n";
-        }
-    }
-    if (!snap.stats.empty()) {
-        out += "# TYPE eval_stat gauge\n";
-        for (const auto &[name, value] : snap.stats) {
-            out += "eval_stat{name=" + quoted(promSanitize(name)) +
-                   "} " + jsonDouble(value) + "\n";
-        }
-    }
     return out;
 }
 

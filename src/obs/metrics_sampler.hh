@@ -4,14 +4,10 @@
  * interval (default 500 ms), snapshots the StatRegistry plus process
  * resources (current/peak RSS, user/sys CPU time, live thread count)
  * and every ProgressTracker into a bounded in-memory time series, and
- * atomically publishes the newest snapshot to the status sinks:
- *
- *  - a JSON status file (EVAL_STATUS_OUT / --status-out), written to
- *    `<path>.tmp` and renamed into place so a concurrent reader
- *    (`eval_top`, a shard supervisor, the future `evald` scraper)
- *    never sees a torn write;
- *  - optionally the same data as Prometheus-style text exposition
- *    (EVAL_STATUS_PROM) for pull-based scraping.
+ * atomically publishes the newest snapshot to a JSON status file
+ * (EVAL_STATUS_OUT / --status-out), written to `<path>.tmp` and
+ * renamed into place so a concurrent reader (`eval_top`, a shard
+ * supervisor) never sees a torn write.
  *
  * Progress entries carry chips/sec throughput and an EWMA-based ETA
  * derived from successive snapshots; the EWMA state lives here, not
@@ -90,7 +86,6 @@ struct SamplerConfig
 {
     std::string tool = "unknown";
     std::string statusPath;        ///< empty: no JSON file sink
-    std::string promPath;          ///< empty: no Prometheus sink
     std::uint64_t intervalMs = 500;
     std::size_t historyCap = 240;  ///< bounded in-memory series
 };
@@ -131,8 +126,8 @@ class MetricsSampler
      *  for tests and for single-shot publication. */
     StatusSnapshot sampleNow(bool final = false);
 
-    /** Write @p snap to the configured sinks (tmp + rename).  True
-     *  when every configured sink was written. */
+    /** Write @p snap to the status file, if configured (tmp +
+     *  rename).  True unless that write failed. */
     bool publish(const StatusSnapshot &snap);
 
     /** Snapshots taken so far, oldest first (bounded by
@@ -145,9 +140,6 @@ class MetricsSampler
     /** Deterministic JSON serialization of one snapshot (the status
      *  file body). */
     static std::string statusJson(const StatusSnapshot &snap);
-
-    /** The same data as Prometheus text exposition. */
-    static std::string prometheusText(const StatusSnapshot &snap);
 
   private:
     void runLoop();

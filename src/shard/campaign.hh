@@ -27,33 +27,12 @@
 #include <cstdint>
 #include <string>
 
-#include "core/controller.hh"
 #include "core/environment.hh"
 #include "stats/stat_registry.hh"
 #include "util/statistics.hh"
 #include "valid/json_value.hh"
 
 namespace eval {
-
-/** Number of RetuneOutcome values (Fig 13 outcome classes). */
-constexpr std::size_t kNumRetuneOutcomes = 5;
-
-/** The Fig 13 FU+Queue technique row sweeps these four voltage
- *  environments (same construction as bench_fig13_outcomes). */
-struct VoltageEnv
-{
-    const char *tag;
-    bool abb;
-    bool asv;
-};
-
-constexpr std::size_t kNumVoltageEnvs = 4;
-
-const std::array<VoltageEnv, kNumVoltageEnvs> &fig13VoltageEnvs();
-
-/** Capabilities of one Fig 13 voltage environment (TS + FU + Queue
- *  plus the env's ABB/ASV bits). */
-EnvCapabilities fig13Caps(const VoltageEnv &env);
 
 /** What to run: the experiment population plus the adaptation
  *  scheme driving the controller. */
@@ -83,9 +62,10 @@ struct ChipCampaignResult
 };
 
 /**
- * Run the campaign unit for one chip.  Pure in (campaign, chip id):
- * only per-chip caches of @p ctx are touched, so a fresh context
- * inside a shard worker reproduces the monolithic result exactly.
+ * Run the campaign unit for one chip: chipOutcomes under each Fig 13
+ * voltage environment in turn.  Pure in (campaign, chip id): only
+ * per-chip caches of @p ctx are touched, so a fresh context inside a
+ * shard worker reproduces the monolithic result exactly.
  */
 ChipCampaignResult runCampaignChip(ExperimentContext &ctx,
                                    const CampaignConfig &campaign,

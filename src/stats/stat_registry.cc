@@ -19,17 +19,8 @@ statTypeName(StatType t)
     switch (t) {
       case StatType::Counter:   return "counter";
       case StatType::Gauge:     return "gauge";
-      case StatType::Histogram: return "histogram";
     }
     return "?";
-}
-
-void
-HistogramStat::reset()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    hist_ = Histogram(lo_, hi_, nbins_);
-    moments_.reset();
 }
 
 namespace {
@@ -72,8 +63,7 @@ StatRegistry::global()
 }
 
 StatRegistry::Slot &
-StatRegistry::slot(const std::string &name, StatType type, double lo,
-                   double hi, std::size_t bins)
+StatRegistry::slot(const std::string &name, StatType type)
 {
     EVAL_ASSERT(!name.empty(), "stat name must not be empty");
     std::lock_guard<std::mutex> lock(mutex_);
@@ -100,19 +90,9 @@ StatRegistry::slot(const std::string &name, StatType type, double lo,
         }
     }
 
-    std::unique_ptr<Slot> made;
-    switch (type) {
-      case StatType::Counter:
-        made = std::make_unique<Slot>(std::in_place_type<Counter>);
-        break;
-      case StatType::Gauge:
-        made = std::make_unique<Slot>(std::in_place_type<Gauge>);
-        break;
-      case StatType::Histogram:
-        made = std::make_unique<Slot>(
-            std::in_place_type<HistogramStat>, lo, hi, bins);
-        break;
-    }
+    auto made = type == StatType::Counter
+                    ? std::make_unique<Slot>(std::in_place_type<Counter>)
+                    : std::make_unique<Slot>(std::in_place_type<Gauge>);
     it = stats_.emplace(name, std::move(made)).first;
     return *it->second;
 }
@@ -127,14 +107,6 @@ Gauge &
 StatRegistry::gauge(const std::string &name)
 {
     return std::get<Gauge>(slot(name, StatType::Gauge));
-}
-
-HistogramStat &
-StatRegistry::histogram(const std::string &name, double lo, double hi,
-                        std::size_t bins)
-{
-    return std::get<HistogramStat>(
-        slot(name, StatType::Histogram, lo, hi, bins));
 }
 
 bool
@@ -210,21 +182,9 @@ StatRegistry::json() const
                 if constexpr (std::is_same_v<T, Counter>) {
                     os << "{\"type\": \"counter\", \"value\": "
                        << stat.value() << "}";
-                } else if constexpr (std::is_same_v<T, Gauge>) {
+                } else {
                     os << "{\"type\": \"gauge\", \"value\": "
                        << jsonNumber(stat.value()) << "}";
-                } else if constexpr (std::is_same_v<T, HistogramStat>) {
-                    os << "{\"type\": \"histogram\", \"count\": "
-                       << stat.count()
-                       << ", \"mean\": " << jsonNumber(stat.mean())
-                       << ", \"stddev\": " << jsonNumber(stat.stddev())
-                       << ", \"min\": " << jsonNumber(stat.min())
-                       << ", \"max\": " << jsonNumber(stat.max())
-                       << ", \"p50\": " << jsonNumber(stat.quantile(0.5))
-                       << ", \"p90\": " << jsonNumber(stat.quantile(0.9))
-                       << ", \"p95\": " << jsonNumber(stat.quantile(0.95))
-                       << ", \"p99\": " << jsonNumber(stat.quantile(0.99))
-                       << "}";
                 }
             },
             *s);
@@ -242,30 +202,17 @@ std::string
 StatRegistry::csv() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    CsvTable table({"name", "type", "count", "value", "mean", "min",
-                    "max", "p50", "p90", "p95", "p99"});
+    CsvTable table({"name", "type", "value"});
     for (const auto &[name, s] : stats_) {
         std::visit(
             [&table, &name = name](const auto &stat) {
                 using T = std::decay_t<decltype(stat)>;
                 if constexpr (std::is_same_v<T, Counter>) {
-                    table.row({name, "counter", "",
-                               std::to_string(stat.value()), "", "", "",
-                               "", "", "", ""});
-                } else if constexpr (std::is_same_v<T, Gauge>) {
-                    table.row({name, "gauge", "",
-                               formatDouble(stat.value(), 6), "", "",
-                               "", "", "", "", ""});
-                } else if constexpr (std::is_same_v<T, HistogramStat>) {
-                    table.row({name, "histogram",
-                               std::to_string(stat.count()), "",
-                               formatDouble(stat.mean(), 6),
-                               formatDouble(stat.min(), 6),
-                               formatDouble(stat.max(), 6),
-                               formatDouble(stat.quantile(0.5), 6),
-                               formatDouble(stat.quantile(0.9), 6),
-                               formatDouble(stat.quantile(0.95), 6),
-                               formatDouble(stat.quantile(0.99), 6)});
+                    table.row({name, "counter",
+                               std::to_string(stat.value())});
+                } else {
+                    table.row({name, "gauge",
+                               formatDouble(stat.value(), 6)});
                 }
             },
             *s);
@@ -279,28 +226,14 @@ StatRegistry::flat() const
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<std::pair<std::string, double>> out;
     out.reserve(stats_.size());
-    const auto push = [&out](const std::string &key, double v) {
-        if (std::isfinite(v))
-            out.emplace_back(key, v);
-    };
     for (const auto &[name, s] : stats_) {
-        std::visit(
-            [&push, &name = name](const auto &stat) {
-                using T = std::decay_t<decltype(stat)>;
-                if constexpr (std::is_same_v<T, Counter>) {
-                    push(name, static_cast<double>(stat.value()));
-                } else if constexpr (std::is_same_v<T, Gauge>) {
-                    push(name, stat.value());
-                } else if constexpr (std::is_same_v<T, HistogramStat>) {
-                    push(name + ".count",
-                         static_cast<double>(stat.count()));
-                    push(name + ".mean", stat.mean());
-                    push(name + ".p50", stat.quantile(0.5));
-                    push(name + ".p95", stat.quantile(0.95));
-                    push(name + ".p99", stat.quantile(0.99));
-                }
+        const double v = std::visit(
+            [](const auto &stat) {
+                return static_cast<double>(stat.value());
             },
             *s);
+        if (std::isfinite(v))
+            out.emplace_back(name, v);
     }
     return out;
 }

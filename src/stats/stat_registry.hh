@@ -1,7 +1,7 @@
 /**
  * @file
  * Simulator-wide statistics registry in the spirit of gem5's Stats
- * framework: named Counter / Gauge / Histogram instruments,
+ * framework: named Counter / Gauge instruments,
  * registered under dotted hierarchical names
  * ("core0.controller.retunes", "chip.thermal.throttle_steps"),
  * snapshotable mid-run and dumpable as nested JSON or flat CSV.
@@ -15,8 +15,8 @@
  *    statics).  reset() zeroes values but keeps registrations.
  *  - Every instrument is safe to update from concurrent parallelFor
  *    bodies: Counter and Gauge use relaxed atomics (an increment is
- *    one uncontended atomic RMW), Histogram samples take a
- *    per-instrument mutex.  Registration itself is mutex-protected.
+ *    one uncontended atomic RMW).  Registration itself is
+ *    mutex-protected.
  *  - Wall-clock profiling is not a stat: it belongs to the span
  *    profiler (src/trace/span_tracer.hh).
  */
@@ -35,12 +35,10 @@
 #include <variant>
 #include <vector>
 
-#include "util/statistics.hh"
-
 namespace eval {
 
 /** Kind tag of one registered instrument. */
-enum class StatType { Counter, Gauge, Histogram };
+enum class StatType { Counter, Gauge };
 
 const char *statTypeName(StatType t);
 
@@ -95,83 +93,6 @@ class Gauge
 };
 
 /**
- * Binned distribution plus streaming moments: the fixed-bin histogram
- * answers quantile queries while RunningStats keeps exact
- * mean/min/max (the bins clamp out-of-range samples).
- */
-class HistogramStat
-{
-  public:
-    HistogramStat(double lo, double hi, std::size_t bins)
-        : lo_(lo), hi_(hi), nbins_(bins), hist_(lo, hi, bins)
-    {
-    }
-
-    void
-    add(double x)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        hist_.add(x);
-        moments_.add(x);
-    }
-
-    std::size_t
-    count() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return moments_.count();
-    }
-    double
-    mean() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return moments_.mean();
-    }
-    double
-    stddev() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return moments_.stddev();
-    }
-    double
-    min() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return moments_.min();
-    }
-    double
-    max() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return moments_.max();
-    }
-    double
-    quantile(double q) const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return hist_.quantile(q);
-    }
-    /** Snapshot of the bins (by value: the live bins may be written
-     *  concurrently). */
-    Histogram
-    bins() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return hist_;
-    }
-
-    void reset();
-
-  private:
-    mutable std::mutex mutex_;
-    double lo_;
-    double hi_;
-    std::size_t nbins_;
-    Histogram hist_;
-    RunningStats moments_;
-};
-
-/**
  * The hierarchical instrument registry.  Most code uses the process
  * singleton (global()); tests may build private instances.
  */
@@ -187,8 +108,6 @@ class StatRegistry
 
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
-    HistogramStat &histogram(const std::string &name, double lo,
-                             double hi, std::size_t bins);
 
     /** Whether @p name is registered (any type). */
     bool has(const std::string &name) const;
@@ -203,26 +122,22 @@ class StatRegistry
      *  dotted-name hierarchy. */
     std::string json() const;
 
-    /** Flat CSV snapshot:
-     *  name,type,count,value,mean,min,max,p50,p90,p95,p99. */
+    /** Flat CSV snapshot: name,type,value. */
     std::string csv() const;
 
     /** Flat numeric view for live-telemetry snapshots: one
-     *  (dotted-name, value) pair per scalar, in name order.  Counters
-     *  and gauges emit their value; histograms emit
-     *  name.count/.mean/.p50/.p95/.p99.  Non-finite values are
-     *  skipped. */
+     *  (dotted-name, value) pair per instrument, in name order.
+     *  Non-finite values are skipped. */
     std::vector<std::pair<std::string, double>> flat() const;
 
     bool writeJson(const std::string &path) const;
     bool writeCsv(const std::string &path) const;
 
   private:
-    using Slot = std::variant<Counter, Gauge, HistogramStat>;
+    using Slot = std::variant<Counter, Gauge>;
 
     /** Find-or-create @p name; fatal on type or hierarchy clash. */
-    Slot &slot(const std::string &name, StatType type,
-               double lo = 0.0, double hi = 1.0, std::size_t bins = 1);
+    Slot &slot(const std::string &name, StatType type);
 
     mutable std::mutex mutex_;
     /** Ordered so dumps group hierarchy prefixes together. */

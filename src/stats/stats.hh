@@ -1,8 +1,7 @@
 /**
  * @file
  * Umbrella header for the observability subsystem: the hierarchical
- * stat registry (counters/gauges/histograms) and the adaptation
- * decision trace.  Wall-clock profiling lives in the span tracer
+ * stat registry (counters/gauges) and the adaptation decision trace.  Wall-clock profiling lives in the span tracer
  * (trace/span_tracer.hh).
  */
 

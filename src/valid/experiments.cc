@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/environment.hh"
-#include "core/fuzzy_adaptation.hh"
 #include "exec/thread_pool.hh"
 #include "obs/progress.hh"
 #include "util/logging.hh"
@@ -134,51 +133,53 @@ struct SweepCell
     std::uint64_t runs = 0;
 };
 
-/** One chip's contribution; merged serially in chip order so the
- *  accumulated doubles are independent of the thread count. */
-SweepCell
-runChipCell(ExperimentContext &ctx,
-            const std::vector<const AppProfile *> &apps,
-            std::size_t chip, EnvironmentKind env, AdaptScheme scheme)
+/** Every chip's runChipSweep, fanned out one task per chip. */
+std::vector<ChipSweepRuns>
+sweepChips(ExperimentContext &ctx,
+           const std::vector<const AppProfile *> &apps,
+           const std::vector<EnvironmentKind> &envs,
+           const std::vector<AdaptScheme> &schemes)
 {
-    SweepCell cell;
-    for (std::size_t a = 0; a < apps.size(); ++a) {
-        const std::size_t coreIdx = (chip + a) % 4;
-        const AppRunResult r =
-            ctx.runApp(chip, coreIdx, *apps[a], env, scheme);
-        cell.freqRel += r.freqRel;
-        cell.perfRel += r.perfRel;
-        cell.powerW += r.powerW;
-        for (RetuneOutcome o : r.outcomes)
-            ++cell.outcomes[o];
-        ++cell.runs;
-    }
-    return cell;
-}
-
-SweepCell
-runSweepCell(ExperimentContext &ctx,
-             const std::vector<const AppProfile *> &apps,
-             EnvironmentKind env, AdaptScheme scheme)
-{
+    for (const AppProfile *app : apps)
+        ctx.novarPerf(*app);
     const auto chips = static_cast<std::size_t>(ctx.config().chips);
     static ProgressTracker &chipProgress =
         ProgressRegistry::global().tracker("chips");
     chipProgress.addTotal(chips);
-    const auto perChip = globalPool().parallelMap(
-        chips, [&](std::size_t chip) {
-            SweepCell cell = runChipCell(ctx, apps, chip, env, scheme);
-            chipProgress.tick();
-            return cell;
-        });
+    return globalPool().parallelMap(chips, [&](std::size_t chip) {
+        ChipSweepRuns runs = runChipSweep(ctx, chip, apps, envs, schemes);
+        chipProgress.tick();
+        return runs;
+    });
+}
+
+/**
+ * Fold one column of the sweep: app a's run on a chip is
+ * (runs.*column)[a * stride + offset].  Apps sum per chip, chips sum
+ * in chip order, then the totals are divided by the run count, so the
+ * doubles do not depend on the thread count.
+ */
+SweepCell
+foldCell(const std::vector<ChipSweepRuns> &perChip,
+         std::vector<AppRunResult> ChipSweepRuns::*column,
+         std::size_t stride = 1, std::size_t offset = 0)
+{
     SweepCell total;
-    for (const SweepCell &c : perChip) {
-        total.freqRel += c.freqRel;
-        total.perfRel += c.perfRel;
-        total.powerW += c.powerW;
-        for (const auto &[o, n] : c.outcomes)
-            total.outcomes[o] += n;
-        total.runs += c.runs;
+    for (const ChipSweepRuns &runs : perChip) {
+        const std::vector<AppRunResult> &col = runs.*column;
+        SweepCell chip;
+        for (std::size_t i = offset; i < col.size(); i += stride) {
+            const AppRunResult &r = col[i];
+            chip.freqRel += r.freqRel;
+            chip.perfRel += r.perfRel;
+            chip.powerW += r.powerW;
+            for (RetuneOutcome o : r.outcomes)
+                ++total.outcomes[o];
+            ++total.runs;
+        }
+        total.freqRel += chip.freqRel;
+        total.perfRel += chip.perfRel;
+        total.powerW += chip.powerW;
     }
     if (total.runs > 0) {
         const double n = static_cast<double>(total.runs);
@@ -206,7 +207,7 @@ addCellMetrics(GoldenFile &golden, const std::string &tag,
 
 void
 addOutcomeMetrics(GoldenFile &golden, const std::string &tag,
-                  const SweepCell &cell)
+                  const std::map<RetuneOutcome, std::uint64_t> &outcomes)
 {
     const std::pair<RetuneOutcome, const char *> kinds[] = {
         {RetuneOutcome::NoChange, "no_change"},
@@ -216,11 +217,10 @@ addOutcomeMetrics(GoldenFile &golden, const std::string &tag,
         {RetuneOutcome::Power, "power"},
     };
     for (const auto &[o, name] : kinds) {
-        const auto it = cell.outcomes.find(o);
+        const auto it = outcomes.find(o);
         golden.addExact(
             tag + "_out_" + name,
-            static_cast<double>(it == cell.outcomes.end() ? 0
-                                                          : it->second));
+            static_cast<double>(it == outcomes.end() ? 0 : it->second));
     }
 }
 
@@ -230,33 +230,30 @@ runSweepMicro(const ExperimentTweaks &tweaks)
     GoldenFile golden("sweep_micro");
     ExperimentContext ctx(microConfig(1, 3, {"gzip", "swim"}, tweaks));
     const auto apps = ctx.selectedApps();
-    for (const AppProfile *app : apps)
-        ctx.novarPerf(*app);
 
-    const SweepCell baseline = runSweepCell(
-        ctx, apps, EnvironmentKind::Baseline, AdaptScheme::Static);
-    addCellMetrics(golden, "baseline", baseline, 0.0);
-    const SweepCell novar = runSweepCell(
-        ctx, apps, EnvironmentKind::NoVar, AdaptScheme::Static);
-    addCellMetrics(golden, "novar", novar, 0.0);
+    const std::vector<EnvironmentKind> envs = {
+        EnvironmentKind::TS, EnvironmentKind::TS_ASV_Q_FU};
+    const char *const envTags[] = {"ts", "pref"};
+    const std::vector<AdaptScheme> schemes = {
+        AdaptScheme::Static, AdaptScheme::FuzzyDyn, AdaptScheme::ExhDyn};
+    const char *const schemeTags[] = {"static", "fuzzy", "exh"};
+    const auto perChip = sweepChips(ctx, apps, envs, schemes);
 
-    const std::pair<EnvironmentKind, const char *> envs[] = {
-        {EnvironmentKind::TS, "ts"},
-        {EnvironmentKind::TS_ASV_Q_FU, "pref"},
-    };
-    const std::pair<AdaptScheme, const char *> schemes[] = {
-        {AdaptScheme::Static, "static"},
-        {AdaptScheme::FuzzyDyn, "fuzzy"},
-        {AdaptScheme::ExhDyn, "exh"},
-    };
-    for (const auto &[env, envTag] : envs) {
-        for (const auto &[scheme, schemeTag] : schemes) {
-            const SweepCell cell = runSweepCell(ctx, apps, env, scheme);
+    addCellMetrics(golden, "baseline",
+                   foldCell(perChip, &ChipSweepRuns::base), 0.0);
+    addCellMetrics(golden, "novar",
+                   foldCell(perChip, &ChipSweepRuns::novar), 0.0);
+    const std::size_t numManaged = envs.size() * schemes.size();
+    for (std::size_t e = 0; e < envs.size(); ++e) {
+        for (std::size_t k = 0; k < schemes.size(); ++k) {
+            const SweepCell cell =
+                foldCell(perChip, &ChipSweepRuns::managed, numManaged,
+                         e * schemes.size() + k);
             const std::string tag =
-                std::string(envTag) + "_" + schemeTag;
+                std::string(envTags[e]) + "_" + schemeTags[k];
             addCellMetrics(golden, tag, cell, 0.0);
-            if (scheme != AdaptScheme::Static)
-                addOutcomeMetrics(golden, tag, cell);
+            if (schemes[k] != AdaptScheme::Static)
+                addOutcomeMetrics(golden, tag, cell.outcomes);
         }
     }
     return golden;
@@ -274,18 +271,15 @@ runPaperHeadline(const ExperimentTweaks &tweaks)
     ExperimentContext ctx(
         microConfig(1, 4, {"gzip", "mcf", "swim", "applu"}, tweaks));
     const auto apps = ctx.selectedApps();
-    for (const AppProfile *app : apps)
-        ctx.novarPerf(*app);
+    const auto perChip = sweepChips(ctx, apps,
+                                    {EnvironmentKind::TS_ASV_Q_FU},
+                                    {AdaptScheme::FuzzyDyn});
 
-    const SweepCell baseline = runSweepCell(
-        ctx, apps, EnvironmentKind::Baseline, AdaptScheme::Static);
-    const SweepCell novar = runSweepCell(
-        ctx, apps, EnvironmentKind::NoVar, AdaptScheme::Static);
-    const SweepCell preferred = runSweepCell(
-        ctx, apps, EnvironmentKind::TS_ASV_Q_FU, AdaptScheme::FuzzyDyn);
-
+    const SweepCell baseline = foldCell(perChip, &ChipSweepRuns::base);
+    const SweepCell preferred = foldCell(perChip, &ChipSweepRuns::managed);
     addCellMetrics(golden, "baseline", baseline, kRelEps);
-    addCellMetrics(golden, "novar", novar, kRelEps);
+    addCellMetrics(golden, "novar",
+                   foldCell(perChip, &ChipSweepRuns::novar), kRelEps);
     addCellMetrics(golden, "preferred", preferred, kRelEps);
     golden.addRelative("freq_gain", kRelEps,
                        preferred.freqRel - baseline.freqRel);
@@ -300,71 +294,31 @@ runFig13Micro(const ExperimentTweaks &tweaks)
     GoldenFile golden("fig13_micro");
     ExperimentContext ctx(
         microConfig(1, 3, {"gzip", "swim", "applu"}, tweaks));
-    const auto apps = ctx.selectedApps();
-
-    // The FU+Queue technique row of Figure 13 across the four voltage
-    // environments (same construction as bench_fig13_outcomes).
-    const auto makeCaps = [](bool abb, bool asv) {
-        EnvCapabilities caps;
-        caps.timingSpec = true;
-        caps.abb = abb;
-        caps.asv = asv;
-        caps.fuReplication = true;
-        caps.queueResize = true;
-        return caps;
-    };
-    const std::tuple<const char *, bool, bool> voltages[] = {
-        {"a_ts", false, false},
-        {"b_ts_abb", true, false},
-        {"c_ts_asv", false, true},
-        {"d_ts_abb_asv", true, true},
-    };
+    const auto chips = static_cast<std::size_t>(ctx.config().chips);
 
     static ProgressTracker &chipProgress =
         ProgressRegistry::global().tracker("chips");
-    chipProgress.addTotal(
-        std::size(voltages) *
-        static_cast<std::uint64_t>(ctx.config().chips));
-    for (const auto &[tag, abb, asv] : voltages) {
-        const EnvCapabilities caps = makeCaps(abb, asv);
-        const auto perChip = globalPool().parallelMap(
-            static_cast<std::size_t>(ctx.config().chips),
-            [&](std::size_t chip) {
-                SweepCell local;
-                for (std::size_t a = 0; a < apps.size(); ++a) {
-                    const AppProfile &app = *apps[a];
-                    const std::size_t coreIdx = (chip + a) % 4;
-                    CoreSystemModel &core = ctx.coreModel(chip, coreIdx);
-                    core.setAppType(app.isFp);
-                    FuzzyOptimizer fuzzy(
-                        ctx.coreFuzzy(chip, coreIdx, caps));
-                    DynamicController ctl(fuzzy, caps,
-                                          ctx.config().constraints,
-                                          ctx.config().recovery);
-                    const AppCharacterization &chr =
-                        ctx.characterizations().get(app);
-                    for (std::size_t p = 0; p < chr.phases.size();
-                         ++p) {
-                        const PhaseAdaptation ad = ctl.adaptPhase(
-                            core, p, chr.phases[p].chr, kThC);
-                        if (!ad.reusedSaved) {
-                            ++local.outcomes[ad.outcome];
-                            ++local.runs;
-                        }
-                    }
-                }
+    chipProgress.addTotal(kNumVoltageEnvs * chips);
+    for (const VoltageEnv &env : fig13VoltageEnvs()) {
+        const EnvCapabilities caps = fig13Caps(env);
+        const auto perChip =
+            globalPool().parallelMap(chips, [&](std::size_t chip) {
+                const auto outcomes =
+                    chipOutcomes(ctx, chip, caps, AdaptScheme::FuzzyDyn);
                 chipProgress.tick();
-                return local;
+                return outcomes;
             });
-        SweepCell cell;
-        for (const SweepCell &local : perChip) {
-            for (const auto &[o, n] : local.outcomes)
-                cell.outcomes[o] += n;
-            cell.runs += local.runs;
+        std::map<RetuneOutcome, std::uint64_t> outcomes;
+        std::uint64_t invocations = 0;
+        for (const auto &chip : perChip) {
+            for (std::size_t o = 0; o < kNumRetuneOutcomes; ++o) {
+                outcomes[static_cast<RetuneOutcome>(o)] += chip[o];
+                invocations += chip[o];
+            }
         }
-        golden.addExact(std::string(tag) + "_invocations",
-                        static_cast<double>(cell.runs));
-        addOutcomeMetrics(golden, tag, cell);
+        golden.addExact(std::string(env.tag) + "_invocations",
+                        static_cast<double>(invocations));
+        addOutcomeMetrics(golden, env.tag, outcomes);
     }
     return golden;
 }

@@ -137,28 +137,6 @@ TEST_F(SamplerTest, StatusJsonParsesWithStableTypes)
         doc.at("stats").at("sampler.test.counter").asDouble(), 7.0);
 }
 
-TEST_F(SamplerTest, PrometheusTextExposesAllSeries)
-{
-    MetricsSampler sampler;
-    SamplerConfig cfg;
-    cfg.tool = "prom_test";
-    sampler.configure(cfg);
-    ProgressRegistry::global().tracker("chips").addTotal(5);
-
-    const std::string text =
-        MetricsSampler::prometheusText(sampler.sampleNow());
-    EXPECT_NE(text.find("eval_up{run=\"prom_test\"} 1"),
-              std::string::npos);
-    EXPECT_NE(text.find("eval_uptime_seconds"), std::string::npos);
-    EXPECT_NE(text.find("eval_rss_kb"), std::string::npos);
-    EXPECT_NE(text.find(
-                  "eval_progress_total{run=\"prom_test\",tracker="
-                  "\"chips\"} 5"),
-              std::string::npos);
-    EXPECT_NE(text.find("# TYPE eval_progress_done gauge"),
-              std::string::npos);
-}
-
 TEST_F(SamplerTest, PublishedFileIsNeverTorn)
 {
     // The publication contract: write <path>.tmp, rename into place.

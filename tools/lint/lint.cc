@@ -30,7 +30,7 @@ struct PathScope
 {
     bool header = false;      ///< .hh/.h/.hpp
     bool inSrc = false;       ///< under src/
-    bool timingExempt = false;  ///< entropy abstraction, stats, logging
+    bool timingExempt = false;  ///< entropy, logging, trace, obs
     bool iostreamExempt = false; ///< the logging sink itself
 };
 
@@ -45,7 +45,6 @@ classify(const std::string &relPath)
     ps.inSrc = startsWith(relPath, "src/");
     ps.timingExempt = startsWith(relPath, "src/util/random") ||
                       startsWith(relPath, "src/util/logging") ||
-                      startsWith(relPath, "src/stats/") ||
                       startsWith(relPath, "src/trace/") ||
                       startsWith(relPath, "src/obs/");
     ps.iostreamExempt = startsWith(relPath, "src/util/logging");
@@ -106,8 +105,8 @@ ruleDetWallclock(const Ctx &ctx)
             ctx.emit(pos, "det-wallclock",
                      std::string("wall-clock type '") + t +
                          "' on a model path; timing belongs to the "
-                         "stats/profiling layer (src/stats) or logging "
-                         "timestamps");
+                         "span tracer (src/trace), the live sampler "
+                         "(src/obs) or logging timestamps");
 }
 
 void
