@@ -14,29 +14,17 @@
  * Observability (DESIGN.md "Observability"): every bench constructs a
  * BenchReporter, which prints one machine-readable JSON footer line
  * ("BENCH_JSON {...}") with the bench name, wall-clock seconds, peak
- * RSS, and its key metrics.  The reporter also honours:
- *   EVAL_BENCH_JSON=path   append the footer line to a file
- *   EVAL_STATS_OUT=path    dump the stat registry (JSON, or CSV when
- *                          the path ends in .csv) on exit
- *   EVAL_TRACE_OUT=path    record and export the decision trace
- *   EVAL_TRACE_SPANS=path  record a span timeline, export
- *                          Chrome/Perfetto trace_event JSON
- *   EVAL_PROFILE_OUT=path  export the aggregated span profile
- *                          (profile.json schema, DESIGN.md Sec 5j);
- *                          either span env enables the tracer, and
- *                          the footer gains a compact span_self_ms
- *                          map benchtrack uses for regression blame
- *   EVAL_MANIFEST=path     write the run-provenance manifest
- *                          (default <bench>.manifest.json; set empty
- *                          to disable)
- *   EVAL_STATUS_OUT=path   start the live MetricsSampler: publish a
- *                          status JSON snapshot (progress, chips/sec,
- *                          ETA, RSS, stats) to the path every
- *                          EVAL_STATUS_INTERVAL_MS (default 500) via
- *                          rename-into-place; watch it with eval_top
- * The telemetry dump is registered with ExitFlush at construction, so
- * files survive fatal()/uncaught-exception exits mid-bench; the
- * sampler likewise registers a final-snapshot closure.
+ * RSS, and its key metrics.  EVAL_BENCH_JSON=path also appends the
+ * footer to a file.  Every other run artifact comes from
+ * obs/telemetry.hh, the same setup eval_cli uses: EVAL_STATS_OUT
+ * (stats JSON), EVAL_TRACE_OUT (decision trace), EVAL_TRACE_SPANS
+ * (Chrome/Perfetto spans), EVAL_PROFILE_OUT (span profile, derived
+ * from the span path when unset), EVAL_MANIFEST (default
+ * <bench>.manifest.json; set empty to disable) and EVAL_STATUS_OUT /
+ * EVAL_STATUS_INTERVAL_MS (live status for eval_top).  The manifest's
+ * outputs list every one of them, and all survive fatal()/uncaught-
+ * exception exits.  When spans are traced the footer gains a compact
+ * span_self_ms map benchtrack uses for regression blame.
  *
  * Benches account per-chip fan-out progress through the "chips"
  * ProgressTracker (the obs-progress-units lint rule enforces the
@@ -55,10 +43,9 @@
 
 #include "core/eval.hh"
 #include "exec/thread_pool.hh"
-#include "obs/metrics_sampler.hh"
 #include "obs/progress.hh"
+#include "obs/telemetry.hh"
 #include "stats/stats.hh"
-#include "trace/exit_flush.hh"
 #include "trace/manifest.hh"
 #include "trace/span_tracer.hh"
 #include "util/logging.hh"
@@ -70,85 +57,22 @@ namespace eval {
  * destruction, prints exactly one line
  *   BENCH_JSON {"bench": "<name>", "wall_clock_s": W, "metrics": {...}}
  * so trajectory tooling can scrape every bench the same way.  Also
- * wires the EVAL_STATS_OUT / EVAL_TRACE_OUT / span env hooks described
- * in the file header.
+ * starts the run telemetry described in the file header.
  */
 class BenchReporter
 {
   public:
     explicit BenchReporter(std::string name)
         : name_(std::move(name)),
-          start_(std::chrono::steady_clock::now())
+          start_(std::chrono::steady_clock::now()),
+          telemetry_(telemetryFromEnv(name_ + ".manifest.json"))
     {
         // Benches opt in to the parallel execution layer: EVAL_THREADS
         // when set, hardware concurrency otherwise (the library
         // default stays serial).  The resulting thread count is
         // reported in the footer.
         setGlobalThreads(0);
-        if (!envString("EVAL_TRACE_OUT", "").empty())
-            DecisionTrace::global().setEnabled(true);
-        spansPath_ = envString("EVAL_TRACE_SPANS", "");
-        profilePath_ = envString("EVAL_PROFILE_OUT", "");
-        if (!spansPath_.empty() || !profilePath_.empty())
-            SpanTracer::global().setEnabled(true);
-        manifestPath_ =
-            envString("EVAL_MANIFEST", name_ + ".manifest.json");
-
-        RunManifest::global().setTool(name_);
-        RunManifest::global().setThreads(globalThreads());
-        if (!spansPath_.empty())
-            RunManifest::global().setOutput("trace_spans", spansPath_);
-        if (!profilePath_.empty())
-            RunManifest::global().setOutput("span_profile",
-                                            profilePath_);
-
-        // Live telemetry: publish status snapshots while the bench
-        // runs (DESIGN.md Sec 5f).  The sampler registers its own
-        // ExitFlush closure so the final snapshot survives crashes.
-        const std::string statusPath = envString("EVAL_STATUS_OUT", "");
-        if (!statusPath.empty()) {
-            SamplerConfig sampler;
-            sampler.tool = name_;
-            sampler.statusPath = statusPath;
-            sampler.intervalMs = static_cast<std::uint64_t>(
-                envInt("EVAL_STATUS_INTERVAL_MS", 500));
-            MetricsSampler::global().configure(sampler);
-            MetricsSampler::global().start();
-            RunManifest::global().setOutput("status", statusPath);
-        }
-
-        // Registered up front so a bench that dies mid-run (fatal(),
-        // uncaught exception) still flushes its telemetry files; the
-        // destructor triggers the same closure on the normal path.
-        flushId_ = ExitFlush::global().add(
-            "bench." + name_ + ".telemetry",
-            [spans = spansPath_, profile = profilePath_,
-             manifest = manifestPath_] {
-                const std::string statsPath =
-                    envString("EVAL_STATS_OUT", "");
-                if (!statsPath.empty()) {
-                    if (statsPath.size() > 4 &&
-                        statsPath.compare(statsPath.size() - 4, 4,
-                                          ".csv") == 0) {
-                        StatRegistry::global().writeCsv(statsPath);
-                    } else {
-                        StatRegistry::global().writeJson(statsPath);
-                    }
-                }
-                const std::string tracePath =
-                    envString("EVAL_TRACE_OUT", "");
-                if (!tracePath.empty())
-                    DecisionTrace::global().writeJsonl(tracePath);
-                if (!spans.empty() &&
-                    !SpanTracer::global().writeJson(spans))
-                    warn("failed to write span trace to ", spans);
-                if (!profile.empty() &&
-                    !SpanTracer::global().writeProfileJson(profile))
-                    warn("failed to write span profile to ", profile);
-                if (!manifest.empty() &&
-                    !RunManifest::global().write(manifest))
-                    warn("failed to write manifest to ", manifest);
-            });
+        startTelemetry(name_, telemetry_, globalThreads());
     }
 
     BenchReporter(const BenchReporter &) = delete;
@@ -194,8 +118,8 @@ class BenchReporter
         json += buf;
         json += ", \"threads\": " + std::to_string(globalThreads());
         json += ", \"peak_rss_kb\": " + std::to_string(peakRssKb());
-        if (!spansPath_.empty())
-            json += ", \"trace_spans\": \"" + spansPath_ + "\"";
+        if (!telemetry_.spans.empty())
+            json += ", \"trace_spans\": \"" + telemetry_.spans + "\"";
 
         // Compact per-span self-time map (top spans by self time, in
         // ms) when tracing ran: benchtrack ingests it and names the
@@ -237,23 +161,13 @@ class BenchReporter
             RunManifest::global().setOutput("bench_json", jsonPath);
         }
 
-        RunManifest::global().addStage(name_, wallS);
-        // Stop the sampler first: stop() joins the thread, publishes
-        // the final (100%-progress) snapshot, and unregisters its
-        // ExitFlush closure before the blanket flush below.
-        MetricsSampler::global().stop();
-        // Normal exit: flush every registered closure (ours included)
-        // now, exactly once; the atexit hook then finds nothing left.
-        ExitFlush::global().runNow();
+        finishTelemetry(name_, wallS);
     }
 
   private:
     std::string name_;
     std::chrono::steady_clock::time_point start_;
-    std::string spansPath_;
-    std::string profilePath_;
-    std::string manifestPath_;
-    int flushId_ = 0;
+    TelemetryOutputs telemetry_;
     std::vector<std::pair<std::string, std::string>> metrics_;
 };
 

@@ -18,6 +18,7 @@
 #include <cstring>
 
 #include "bench_common.hh"
+#include "obs/metrics_sampler.hh"
 
 using namespace eval;
 

@@ -100,7 +100,7 @@ main(int argc, char **argv)
                              std::chrono::steady_clock::now() -
                              monoStart)
                              .count();
-    if (!writeMergedOutputs(mono, monoDir, /*binarySnapshots=*/true))
+    if (!writeMergedOutputs(mono, monoDir))
         EVAL_FATAL("cannot write monolithic reference outputs");
     const std::string refSnap =
         readFileBytes(mergedSnapshotPath(monoDir));

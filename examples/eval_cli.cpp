@@ -14,7 +14,7 @@
  *   eval_cli fig13  [--chips N] [--seed S] [--apps gzip,swim,applu]
  *                   [--sim-insts K] [--scheme fuzzy|exh] [--out DIR]
  *                   [--shards N] [--in-process] [--resume]
- *                   [--checkpoint-every K] [--text-snapshots]
+ *                   [--checkpoint-every K]
  *       the sharded Figure 13 population campaign.  With --shards N
  *       the process becomes a supervisor that re-execs itself once
  *       per shard (--shard=i/N workers, concurrent, each with its own
@@ -24,34 +24,38 @@
  *       DIR ends up with byte-identical merged.snap +
  *       merged.stats.json (tests/shard/shard_differential_test).
  *
- * Observability flags (any command; see DESIGN.md "Observability"):
- *   --stats-out=FILE   dump the stat registry on exit (JSON, or CSV
- *                      when FILE ends in .csv)
+ * Telemetry flags (any command; obs/telemetry.hh, DESIGN.md
+ * "Observability").  Each defaults from its EVAL_* variable, the same
+ * ones the benches honour:
+ *   --stats-out=FILE   dump the stat registry as JSON (EVAL_STATS_OUT)
  *   --trace-out=FILE   record every adaptation decision, export JSONL
+ *                      (EVAL_TRACE_OUT)
  *   --trace-spans=FILE record a span timeline, export Chrome/Perfetto
- *                      trace_event JSON (open in ui.perfetto.dev);
- *                      default from EVAL_TRACE_SPANS.  For a sharded
- *                      fig13 run FILE becomes the MERGED fleet
- *                      timeline (one pid per shard)
+ *                      trace_event JSON (open in ui.perfetto.dev;
+ *                      EVAL_TRACE_SPANS).  For a sharded fig13 run
+ *                      FILE becomes the MERGED fleet timeline (one
+ *                      pid per shard)
  *   --profile-out=FILE export the span profile (exact per-span
  *                      count/inclusive/self times, profile.json
- *                      schema; analyze with eval_prof); default from
- *                      EVAL_PROFILE_OUT, else derived from
- *                      --trace-spans (FILE.profile.json).  For a
- *                      sharded fig13 run this is the merged fleet
- *                      profile
+ *                      schema; analyze with eval_prof;
+ *                      EVAL_PROFILE_OUT), else derived from the span
+ *                      path (FILE.profile.json).  For a sharded fig13
+ *                      run this is the merged fleet profile
  *   --manifest=FILE    write a run-provenance manifest (git SHA, build
- *                      flags, seed, stage wall times, peak RSS);
- *                      default from EVAL_MANIFEST, "" disables
+ *                      flags, seed, stage wall times, peak RSS, every
+ *                      output above); EVAL_MANIFEST, default
+ *                      manifest.json, "" disables
  *   --status-out=FILE  publish live status snapshots (progress,
  *                      chips/sec, ETA, RSS, stats) to FILE every
  *                      --status-interval-ms (default 500) via
- *                      rename-into-place; watch with eval_top.
- *                      Defaults from EVAL_STATUS_OUT /
- *                      EVAL_STATUS_INTERVAL_MS.
- * With any of these flags present the command defaults to `run`.
- * All telemetry files are registered with ExitFlush, so they are
- * written even when the run dies via fatal()/uncaught exception.
+ *                      rename-into-place; watch with eval_top
+ *                      (EVAL_STATUS_OUT / EVAL_STATUS_INTERVAL_MS).
+ *                      A fig13 --shard=i/N worker without one
+ *                      publishes to DIR/status/
+ * With any of these outputs set (flag or variable) the command
+ * defaults to `run`.  All telemetry files are registered with
+ * ExitFlush, so they are written even when the run dies via
+ * fatal()/uncaught exception.
  *
  * Execution:
  *   --threads=N        size of the worker pool for the parallel loops
@@ -60,20 +64,17 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 
 #include "core/eval.hh"
 #include "exec/thread_pool.hh"
 #include "exec/subprocess.hh"
-#include "obs/metrics_sampler.hh"
+#include "obs/telemetry.hh"
 #include "util/logging.hh"
 #include "core/retiming.hh"
 #include "shard/supervisor.hh"
 #include "shard/trace_merge.hh"
 #include "shard/worker.hh"
-#include "stats/stats.hh"
-#include "trace/exit_flush.hh"
 #include "trace/manifest.hh"
 #include "trace/span_tracer.hh"
 #include "util/arg_parser.hh"
@@ -82,42 +83,6 @@
 using namespace eval;
 
 namespace {
-
-/** Set when a fig13 supervisor routes the span/profile outputs
- *  through the fleet merge: the generic exit-time writers must then
- *  leave those files alone (the merged timeline would be clobbered by
- *  the supervisor's own near-empty tracer). */
-bool gFleetOwnsSpans = false;
-
-/** The default profile path rides alongside the trace: x.json ->
- *  x.profile.json. */
-std::string
-deriveProfilePath(const std::string &spansPath)
-{
-    const std::string suffix = ".json";
-    if (spansPath.size() > suffix.size() &&
-        spansPath.compare(spansPath.size() - suffix.size(),
-                          suffix.size(), suffix) == 0)
-        return spansPath.substr(0, spansPath.size() - suffix.size()) +
-               ".profile.json";
-    return spansPath + ".profile.json";
-}
-
-/** Resolve --trace-spans / --profile-out (flags, env defaults, and
- *  the derived profile path).  Shared by main() and the fig13
- *  supervisor so both agree on where fleet telemetry lands. */
-void
-spanOutputPaths(const ArgParser &args, std::string &spansOut,
-                std::string &profileOut)
-{
-    const char *spansEnv = std::getenv("EVAL_TRACE_SPANS");
-    spansOut = args.getString("trace-spans", spansEnv ? spansEnv : "");
-    const char *profEnv = std::getenv("EVAL_PROFILE_OUT");
-    profileOut =
-        args.getString("profile-out", profEnv ? profEnv : "");
-    if (profileOut.empty() && !spansOut.empty())
-        profileOut = deriveProfilePath(spansOut);
-}
 
 EnvironmentKind
 parseEnv(const std::string &name)
@@ -312,15 +277,50 @@ fig13CampaignFrom(const ArgParser &args)
     return campaign;
 }
 
+/** fig13's output directory (flag --out). */
+std::string
+fig13OutDir(const ArgParser &args)
+{
+    return args.getString("out", "fig13-out");
+}
+
+/**
+ * fig13 settles who writes what before telemetry starts.  A
+ * --shard=i/N worker without a status path publishes its live status
+ * under DIR/status/, where `eval_top DIR/status` tails the whole
+ * fleet.  A --shards supervisor hands the span trace and profile to
+ * the fleet merge (which records the merged paths in the manifest);
+ * its own near-empty tracer must not clobber them.  Returns the
+ * outputs handed over.
+ */
+TelemetryOutputs
+settleFig13Telemetry(const ArgParser &args, TelemetryOutputs &telemetry)
+{
+    TelemetryOutputs fleet;
+    ShardSpec spec;
+    if (parseShardSpec(args.getString("shard", ""), spec)) {
+        if (telemetry.status.empty()) {
+            const std::string outDir = fig13OutDir(args);
+            std::error_code ec;
+            std::filesystem::create_directories(shardStatusDir(outDir),
+                                                ec);
+            telemetry.status = shardStatusPath(outDir, spec.index);
+        }
+    } else if (args.getInt("shards", 0) > 0) {
+        std::swap(fleet.spans, telemetry.spans);
+        std::swap(fleet.profile, telemetry.profile);
+    }
+    return fleet;
+}
+
 int
-cmdFig13(const ArgParser &args)
+cmdFig13(const ArgParser &args, const TelemetryOutputs &fleet)
 {
     const CampaignConfig campaign = fig13CampaignFrom(args);
-    const std::string outDir = args.getString("out", "fig13-out");
+    const std::string outDir = fig13OutDir(args);
     const auto checkpointEvery = static_cast<std::uint64_t>(
         args.getInt("checkpoint-every", 16));
     const bool resume = args.getBool("resume", false);
-    const bool binary = !args.getBool("text-snapshots", false);
     const std::string shardArg = args.getString("shard", "");
 
     if (!shardArg.empty()) {
@@ -332,7 +332,6 @@ cmdFig13(const ArgParser &args)
         w.outDir = outDir;
         w.checkpointEvery = checkpointEvery;
         w.resume = resume;
-        w.binarySnapshots = binary;
 
         // Crash-injection hook for check.sh --shard-smoke: SIGKILL
         // the selected shard after K chips, before its checkpoint.
@@ -342,20 +341,6 @@ cmdFig13(const ArgParser &args)
             envInt("EVAL_SHARD_ABORT_SHARD", 0));
         if (abortAfter > 0 && abortShard == w.spec.index)
             w.killAfterChips = abortAfter;
-
-        // Fleet view: unless the user pointed --status-out somewhere,
-        // publish this worker's live status under DIR/status/ where
-        // `eval_top DIR/status` tails the whole fleet.
-        if (!MetricsSampler::global().running()) {
-            std::error_code ec;
-            std::filesystem::create_directories(shardStatusDir(outDir),
-                                                ec);
-            SamplerConfig sampler;
-            sampler.tool = "eval_cli.fig13";
-            sampler.statusPath = shardStatusPath(outDir, w.spec.index);
-            MetricsSampler::global().configure(sampler);
-            MetricsSampler::global().start();
-        }
         return runShardWorker(w);
     }
 
@@ -368,21 +353,13 @@ cmdFig13(const ArgParser &args)
         s.outDir = outDir;
         s.checkpointEvery = checkpointEvery;
         s.resume = resume;
-        s.binarySnapshots = binary;
 
-        // Fleet telemetry: --trace-spans/--profile-out name the
-        // MERGED outputs of a sharded run; the per-shard files live
-        // under DIR/trace/.  The supervisor's own tracer output is
-        // suppressed (gFleetOwnsSpans) so the exit-time writer cannot
-        // clobber the merged timeline.
-        std::string spansOut;
-        std::string profileOut;
-        spanOutputPaths(args, spansOut, profileOut);
-        if (!spansOut.empty() || !profileOut.empty()) {
+        // Fleet telemetry: the span outputs name the MERGED files of
+        // a sharded run; the per-shard files live under DIR/trace/.
+        if (!fleet.spans.empty() || !fleet.profile.empty()) {
             s.traceSpans = true;
-            s.mergedTraceOut = spansOut;
-            s.fleetProfileOut = profileOut;
-            gFleetOwnsSpans = true;
+            s.mergedTraceOut = fleet.spans;
+            s.fleetProfileOut = fleet.profile;
         }
 
         if (!args.getBool("in-process", false)) {
@@ -407,8 +384,6 @@ cmdFig13(const ArgParser &args)
                             "--manifest="};
             if (resume)
                 s.workerArgv.push_back("--resume");
-            if (!binary)
-                s.workerArgv.push_back("--text-snapshots");
         }
         const int rc = runShardSupervisor(s);
         if (rc != 0) {
@@ -426,7 +401,7 @@ cmdFig13(const ArgParser &args)
 
     // Monolithic reference path: same outputs, no sharding machinery.
     const CampaignAccumulator acc = runMonolithic(campaign);
-    if (!writeMergedOutputs(acc, outDir, binary))
+    if (!writeMergedOutputs(acc, outDir))
         return 1;
     std::printf("fig13: %d chips monolithic -> %s, %s "
                 "(digest %.0f)\n",
@@ -448,23 +423,6 @@ usage()
     return 2;
 }
 
-/** Export stats/trace per the observability flags. */
-void
-dumpObservability(const std::string &statsOut,
-                  const std::string &traceOut)
-{
-    if (!statsOut.empty()) {
-        if (statsOut.size() > 4 &&
-            statsOut.compare(statsOut.size() - 4, 4, ".csv") == 0) {
-            StatRegistry::global().writeCsv(statsOut);
-        } else {
-            StatRegistry::global().writeJson(statsOut);
-        }
-    }
-    if (!traceOut.empty())
-        DecisionTrace::global().writeJsonl(traceOut);
-}
-
 } // namespace
 
 int
@@ -472,88 +430,39 @@ main(int argc, char **argv)
 {
     ArgParser args(argc, argv);
 
-    const std::string statsOut = args.getString("stats-out", "");
-    const std::string traceOut = args.getString("trace-out", "");
-    std::string spansOut;
-    std::string profileOut;
-    spanOutputPaths(args, spansOut, profileOut);
-    const char *manifestEnv = std::getenv("EVAL_MANIFEST");
-    const std::string manifestOut = args.getString(
-        "manifest", manifestEnv ? manifestEnv : "manifest.json");
-    const char *statusEnv = std::getenv("EVAL_STATUS_OUT");
-    const std::string statusOut =
-        args.getString("status-out", statusEnv ? statusEnv : "");
-    const std::int64_t statusIntervalMs = args.getInt(
-        "status-interval-ms", envInt("EVAL_STATUS_INTERVAL_MS", 500));
     // --threads=N overrides EVAL_THREADS / hardware concurrency (0 =
     // auto); results do not depend on the thread count.
     const std::int64_t threadsArg = args.getInt("threads", 0);
     setGlobalThreads(
         threadsArg > 0 ? static_cast<std::size_t>(threadsArg) : 0);
-    if (!traceOut.empty())
-        DecisionTrace::global().setEnabled(true);
-    if (!spansOut.empty() || !profileOut.empty())
-        SpanTracer::global().setEnabled(true);
 
-    RunManifest::global().setTool("eval_cli");
-    RunManifest::global().setThreads(globalThreads());
-    if (!statsOut.empty())
-        RunManifest::global().setOutput("stats", statsOut);
-    if (!traceOut.empty())
-        RunManifest::global().setOutput("decision_trace", traceOut);
-    if (!spansOut.empty())
-        RunManifest::global().setOutput("trace_spans", spansOut);
-    if (!profileOut.empty())
-        RunManifest::global().setOutput("span_profile", profileOut);
+    // Telemetry flags layered over the EVAL_* variables.
+    TelemetryOutputs telemetry = telemetryFromEnv("manifest.json");
+    telemetry.stats = args.getString("stats-out", telemetry.stats);
+    telemetry.decisions =
+        args.getString("trace-out", telemetry.decisions);
+    if (args.has("trace-spans"))
+        setSpansOutput(telemetry, args.getString("trace-spans", ""));
+    telemetry.profile = args.getString("profile-out", telemetry.profile);
+    telemetry.manifest = args.getString("manifest", telemetry.manifest);
+    telemetry.status = args.getString("status-out", telemetry.status);
+    telemetry.statusIntervalMs = args.getInt(
+        "status-interval-ms", telemetry.statusIntervalMs);
 
-    // Live telemetry: start the sampler before the command runs so
-    // eval_top can watch the whole campaign (DESIGN.md Sec 5f).
-    if (!statusOut.empty()) {
-        SamplerConfig sampler;
-        sampler.tool = "eval_cli";
-        sampler.statusPath = statusOut;
-        sampler.intervalMs = statusIntervalMs > 0
-                                 ? static_cast<std::uint64_t>(
-                                       statusIntervalMs)
-                                 : 500;
-        MetricsSampler::global().configure(sampler);
-        MetricsSampler::global().start();
-        RunManifest::global().setOutput("status", statusOut);
-    }
-
-    // Telemetry survives fatal()/uncaught exceptions: the flush runs
-    // from the atexit/terminate hooks, and runNow() below makes the
-    // normal path identical (closures run exactly once).
-    ExitFlush::global().add(
-        "eval_cli.telemetry",
-        [statsOut, traceOut, spansOut, profileOut, manifestOut] {
-            dumpObservability(statsOut, traceOut);
-            if (!gFleetOwnsSpans) {
-                if (!spansOut.empty() &&
-                    !SpanTracer::global().writeJson(spansOut)) {
-                    warn("failed to write span trace to ", spansOut);
-                }
-                if (!profileOut.empty() &&
-                    !SpanTracer::global().writeProfileJson(
-                        profileOut)) {
-                    warn("failed to write span profile to ",
-                         profileOut);
-                }
-            }
-            if (!manifestOut.empty() &&
-                !RunManifest::global().write(manifestOut)) {
-                warn("failed to write manifest to ", manifestOut);
-            }
-        });
-
-    // With observability flags but no command, default to `run`.
-    const bool observing = !statsOut.empty() || !traceOut.empty() ||
-                           !spansOut.empty() || !profileOut.empty() ||
-                           !statusOut.empty();
+    // With telemetry outputs but no command, default to `run`.
+    const bool observing =
+        !telemetry.stats.empty() || !telemetry.decisions.empty() ||
+        !telemetry.spans.empty() || !telemetry.profile.empty() ||
+        !telemetry.status.empty();
     if (args.positional().empty() && !observing)
         return usage();
     const std::string cmd =
         args.positional().empty() ? "run" : args.positional().front();
+
+    TelemetryOutputs fleet;
+    if (cmd == "fig13")
+        fleet = settleFig13Telemetry(args, telemetry);
+    startTelemetry("eval_cli", telemetry, globalThreads());
 
     int rc;
     const std::string spanName = "cli." + cmd;
@@ -571,18 +480,12 @@ main(int argc, char **argv)
         else if (cmd == "replay")
             rc = cmdReplay(args);
         else if (cmd == "fig13")
-            rc = cmdFig13(args);
+            rc = cmdFig13(args, fleet);
         else
             return usage();
     }
-    RunManifest::global().addStage(
-        cmd, static_cast<double>(traceNowNs() - cmdStart) / 1e9);
-
-    // Stop the sampler (joins the thread, publishes the final
-    // snapshot, removes its ExitFlush closure) before the blanket
-    // flush.
-    MetricsSampler::global().stop();
-    ExitFlush::global().runNow();
+    finishTelemetry(cmd, static_cast<double>(traceNowNs() - cmdStart) /
+                             1e9);
 
     for (const std::string &key : args.unusedKeys())
         warn("unused option --", key);

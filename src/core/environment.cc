@@ -597,6 +597,8 @@ chipOutcomes(ExperimentContext &ctx, std::size_t chip,
         const std::size_t coreIdx = (chip + a) % 4;
         CoreSystemModel &core = ctx.coreModel(chip, coreIdx);
         core.setAppType(app.isFp);
+        DecisionTrace::global().setContext(static_cast<int>(chip),
+                                           static_cast<int>(coreIdx));
 
         // Fresh optimizer + controller per app: the controller's
         // saved-config table must not leak across apps or environments.

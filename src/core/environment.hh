@@ -262,7 +262,8 @@ class ExperimentContext
  * 65 C) under @p caps, and the outcomes of the fresh retunes are
  * tallied by RetuneOutcome (saved-config reuses are not invocations).
  * @p scheme must be FuzzyDyn or ExhDyn.  Touches only chip @p chip's
- * caches, so any fan-out over chips gives the same tallies.
+ * caches, so any fan-out over chips gives the same tallies.  Traced
+ * decisions carry the (chip, core) each app runs on.
  */
 std::array<std::uint64_t, kNumRetuneOutcomes>
 chipOutcomes(ExperimentContext &ctx, std::size_t chip,

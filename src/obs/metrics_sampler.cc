@@ -11,6 +11,7 @@
 #include "obs/progress.hh"
 #include "stats/stat_registry.hh"
 #include "trace/exit_flush.hh"
+#include "util/file_io.hh"
 
 namespace eval {
 
@@ -69,27 +70,6 @@ jsonDouble(double v)
     if (!std::strpbrk(buf, ".einf"))
         std::strcat(buf, ".0");
     return buf;
-}
-
-/** Write @p text to @p path via `<path>.tmp` + rename so concurrent
- *  readers see either the old file or the new one, never a torn
- *  intermediate. */
-bool
-writeFileAtomic(const std::string &path, const std::string &text)
-{
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "w");
-    if (!f)
-        return false;
-    const std::size_t written =
-        std::fwrite(text.data(), 1, text.size(), f);
-    const bool closed = std::fclose(f) == 0;
-    if (written != text.size() || !closed) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    // Same directory, so the rename is atomic on POSIX.
-    return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
 /** Read a small pseudo-file (/proc) fully; empty on failure. */

@@ -10,37 +10,13 @@
 #include "shard/trace_merge.hh"
 #include "shard/worker.hh"
 #include "trace/span_tracer.hh"
+#include "util/file_io.hh"
 #include "util/logging.hh"
 #include "valid/snapshot.hh"
 
 namespace eval {
 
 namespace fs = std::filesystem;
-
-namespace {
-
-/** Write @p bytes to @p path atomically (tmp + rename). */
-bool
-writeFileAtomic(const std::string &path, const std::string &bytes)
-{
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        warn("cannot open ", tmp, " for writing");
-        return false;
-    }
-    const bool wrote =
-        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-    const bool closed = std::fclose(f) == 0;
-    if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        warn("cannot write ", path);
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
-}
-
-} // namespace
 
 std::string
 mergedSnapshotPath(const std::string &outDir)
@@ -71,15 +47,20 @@ mergeShardResults(const CampaignConfig &campaign, std::uint32_t shards,
 
 bool
 writeMergedOutputs(const CampaignAccumulator &merged,
-                   const std::string &outDir, bool binarySnapshots)
+                   const std::string &outDir)
 {
     std::error_code ec;
     fs::create_directories(outDir, ec);
-    const JsonValue snap = merged.toSnapshot();
-    const std::string snapBytes =
-        binarySnapshots ? encodeBinary(snap) : snap.dump(2) + "\n";
-    return writeFileAtomic(mergedSnapshotPath(outDir), snapBytes) &&
-           writeFileAtomic(mergedStatsPath(outDir), merged.statsJson());
+    for (const auto &[path, bytes] :
+         {std::pair{mergedSnapshotPath(outDir),
+                    encodeBinary(merged.toSnapshot())},
+          std::pair{mergedStatsPath(outDir), merged.statsJson()}}) {
+        if (!writeFileAtomic(path, bytes)) {
+            warn("cannot write ", path);
+            return false;
+        }
+    }
+    return true;
 }
 
 int
@@ -112,7 +93,6 @@ runShardSupervisor(const ShardSupervisorOptions &opts)
             w.outDir = opts.outDir;
             w.checkpointEvery = opts.checkpointEvery;
             w.resume = opts.resume;
-            w.binarySnapshots = opts.binarySnapshots;
             int rc;
             if (opts.traceSpans) {
                 // Scope the global tracer to this shard so the
@@ -180,8 +160,7 @@ runShardSupervisor(const ShardSupervisorOptions &opts)
     try {
         const CampaignAccumulator merged =
             mergeShardResults(opts.campaign, opts.shards, opts.outDir);
-        if (!writeMergedOutputs(merged, opts.outDir,
-                                opts.binarySnapshots))
+        if (!writeMergedOutputs(merged, opts.outDir))
             return kShardExitConfig;
     } catch (const SnapshotError &e) {
         warn("cannot merge shard results: ", e.what());

@@ -28,7 +28,6 @@ struct ShardSupervisorOptions
     std::string outDir;
     std::uint64_t checkpointEvery = 16;
     bool resume = false;
-    bool binarySnapshots = true;
     /**
      * Fork/exec worker protocol: argv prefix for one worker (the
      * executable plus every campaign/out-dir/resume flag); the
@@ -66,10 +65,10 @@ CampaignAccumulator mergeShardResults(const CampaignConfig &campaign,
                                       std::uint32_t shards,
                                       const std::string &outDir);
 
-/** Write merged.snap + merged.stats.json (atomic renames). */
+/** Write merged.snap (binary snapshot) + merged.stats.json (atomic
+ *  renames). */
 bool writeMergedOutputs(const CampaignAccumulator &merged,
-                        const std::string &outDir,
-                        bool binarySnapshots);
+                        const std::string &outDir);
 
 /**
  * Run every shard (skipping ones with usable results when resuming),

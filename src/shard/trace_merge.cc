@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "trace/manifest.hh"
+#include "util/file_io.hh"
 #include "util/logging.hh"
 #include "valid/json_value.hh"
 #include "valid/snapshot.hh"
@@ -14,27 +16,6 @@ namespace eval {
 namespace fs = std::filesystem;
 
 namespace {
-
-/** Write @p bytes to @p path atomically (tmp + rename). */
-bool
-writeFileAtomic(const std::string &path, const std::string &bytes)
-{
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        warn("cannot open ", tmp, " for writing");
-        return false;
-    }
-    const bool wrote =
-        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-    const bool closed = std::fclose(f) == 0;
-    if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        warn("cannot write ", path);
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
-}
 
 /** Whole-file slurp; false when the file cannot be opened. */
 bool
@@ -132,20 +113,13 @@ mergeProfileInto(SpanProfile &into, const SpanProfile &other)
 std::string
 profileToJson(const SpanProfile &profile)
 {
-    JsonValue spans = JsonValue::array();
-    for (const auto &[path, b] : profile) {
-        JsonValue span = JsonValue::object();
-        span.set("path", path);
-        span.set("name", b.name);
-        span.set("count", b.count);
-        span.set("incl_ns", b.inclNs);
-        span.set("self_ns", b.selfNs);
-        spans.push(std::move(span));
+    std::vector<ProfileBucket> buckets;
+    buckets.reserve(profile.size());
+    for (const auto &[path, bucket] : profile) {
+        buckets.push_back(bucket);
+        buckets.back().path = path;
     }
-    JsonValue doc = JsonValue::object();
-    doc.set("schema_version", 1);
-    doc.set("spans", std::move(spans));
-    return doc.dump(2) + "\n";
+    return profileJsonOf(buckets);
 }
 
 std::string
@@ -256,13 +230,22 @@ mergeShardTelemetry(std::uint32_t shards, const std::string &outDir,
             result.tracesMerged =
                 static_cast<std::uint32_t>(traces.size());
             result.wroteTrace = writeFileAtomic(tracePath, merged);
+            if (result.wroteTrace)
+                RunManifest::global().setOutput("trace_spans", tracePath);
+            else
+                warn("cannot write ", tracePath);
         } catch (const SnapshotError &e) {
             warn("cannot merge shard traces: ", e.what());
         }
     }
-    if (result.profilesMerged > 0)
+    if (result.profilesMerged > 0) {
         result.wroteProfile =
             writeFileAtomic(profilePath, profileToJson(fleet));
+        if (result.wroteProfile)
+            RunManifest::global().setOutput("span_profile", profilePath);
+        else
+            warn("cannot write ", profilePath);
+    }
     return result;
 }
 

@@ -58,8 +58,9 @@ SpanProfile parseProfileJson(const std::string &text);
  *  Associative and order-insensitive (u64 sums). */
 void mergeProfileInto(SpanProfile &into, const SpanProfile &other);
 
-/** Serialize in the same schema SpanTracer::profileJson emits
- *  (sorted by path — a deterministic function of the profile). */
+/** Serialize with profileJsonOf, the writer behind
+ *  SpanTracer::profileJson (sorted by path — a deterministic
+ *  function of the profile). */
 std::string profileToJson(const SpanProfile &profile);
 
 /**
@@ -83,8 +84,10 @@ struct FleetTelemetry
 /**
  * Read every shard's trace/profile under @p outDir, merge, and write
  * @p mergedTraceOut + @p fleetProfileOut (atomic renames; pass "" to
- * use the default locations under shardTraceDir).  Missing or corrupt
- * shard files warn and are skipped; nothing here throws.
+ * use the default locations under shardTraceDir).  Each file written
+ * is recorded in the run manifest's outputs (trace_spans,
+ * span_profile).  Missing or corrupt shard files warn and are
+ * skipped; nothing here throws.
  */
 FleetTelemetry mergeShardTelemetry(std::uint32_t shards,
                                    const std::string &outDir,

@@ -226,8 +226,7 @@ runShardWorker(const ShardWorkerOptions &opts)
         const ShardCheckpoint cp{fp,          spec.index, spec.count,
                                  range.begin, range.end,  cursor,
                                  acc.toPayload()};
-        if (!writeCheckpointFile(ckptPath, cp,
-                                 opts.binarySnapshots)) {
+        if (!writeCheckpointFile(ckptPath, cp, /*binary=*/true)) {
             warn("shard ", formatShardSpec(spec),
                  ": cannot write checkpoint");
             return kShardExitConfig;
@@ -245,7 +244,7 @@ runShardWorker(const ShardWorkerOptions &opts)
     const ShardCheckpoint done{fp,          spec.index, spec.count,
                                range.begin, range.end,  range.end,
                                acc.toPayload()};
-    if (!writeCheckpointFile(resultPath, done, opts.binarySnapshots)) {
+    if (!writeCheckpointFile(resultPath, done, /*binary=*/true)) {
         warn("shard ", formatShardSpec(spec),
              ": cannot write result");
         return kShardExitConfig;

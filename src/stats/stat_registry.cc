@@ -7,9 +7,7 @@
 #include <cstdio>
 #include <sstream>
 
-#include "util/csv.hh"
 #include "util/logging.hh"
-#include "util/table.hh"
 
 namespace eval {
 
@@ -198,28 +196,6 @@ StatRegistry::json() const
     return os.str();
 }
 
-std::string
-StatRegistry::csv() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    CsvTable table({"name", "type", "value"});
-    for (const auto &[name, s] : stats_) {
-        std::visit(
-            [&table, &name = name](const auto &stat) {
-                using T = std::decay_t<decltype(stat)>;
-                if constexpr (std::is_same_v<T, Counter>) {
-                    table.row({name, "counter",
-                               std::to_string(stat.value())});
-                } else {
-                    table.row({name, "gauge",
-                               formatDouble(stat.value(), 6)});
-                }
-            },
-            *s);
-    }
-    return table.str();
-}
-
 std::vector<std::pair<std::string, double>>
 StatRegistry::flat() const
 {
@@ -262,12 +238,6 @@ bool
 StatRegistry::writeJson(const std::string &path) const
 {
     return writeTextFile(path, json());
-}
-
-bool
-StatRegistry::writeCsv(const std::string &path) const
-{
-    return writeTextFile(path, csv());
 }
 
 } // namespace eval

@@ -4,7 +4,7 @@
  * framework: named Counter / Gauge instruments,
  * registered under dotted hierarchical names
  * ("core0.controller.retunes", "chip.thermal.throttle_steps"),
- * snapshotable mid-run and dumpable as nested JSON or flat CSV.
+ * snapshotable mid-run and dumpable as nested JSON.
  *
  * Conventions:
  *  - Registration is idempotent: asking for an existing name of the
@@ -122,16 +122,12 @@ class StatRegistry
      *  dotted-name hierarchy. */
     std::string json() const;
 
-    /** Flat CSV snapshot: name,type,value. */
-    std::string csv() const;
-
     /** Flat numeric view for live-telemetry snapshots: one
      *  (dotted-name, value) pair per instrument, in name order.
      *  Non-finite values are skipped. */
     std::vector<std::pair<std::string, double>> flat() const;
 
     bool writeJson(const std::string &path) const;
-    bool writeCsv(const std::string &path) const;
 
   private:
     using Slot = std::variant<Counter, Gauge>;

@@ -354,9 +354,8 @@ SpanTracer::snapshotProfile() const
 }
 
 std::string
-SpanTracer::profileJson() const
+profileJsonOf(const std::vector<ProfileBucket> &buckets)
 {
-    const std::vector<ProfileBucket> buckets = snapshotProfile();
     std::string out = "{\"schema_version\": 1, \"spans\": [";
     bool first = true;
     for (const ProfileBucket &b : buckets) {
@@ -372,6 +371,12 @@ SpanTracer::profileJson() const
     }
     out += "\n]}\n";
     return out;
+}
+
+std::string
+SpanTracer::profileJson() const
+{
+    return profileJsonOf(snapshotProfile());
 }
 
 bool

@@ -92,6 +92,11 @@ struct ProfileBucket
     std::uint64_t selfNs = 0; ///< inclNs minus direct children's inclNs
 };
 
+/** The profile.json document (schema_version 1, DESIGN.md Sec 5j)
+ *  for @p buckets, in the given order: the one serializer behind
+ *  SpanTracer::profileJson and the fleet merge's profileToJson. */
+std::string profileJsonOf(const std::vector<ProfileBucket> &buckets);
+
 /**
  * The process-wide span sink.  Use SpanTracer::global(); private
  * instances exist only inside tests.
@@ -147,10 +152,11 @@ class SpanTracer
      */
     std::vector<ProfileBucket> snapshotProfile() const;
 
-    /** Profile export: {"schema_version": 1, "spans": [{"path",
-     *  "name", "count", "incl_ns", "self_ns"}...]} sorted by path —
-     *  the format tools/eval_prof and the shard fleet merge consume
-     *  (DESIGN.md Sec 5j). */
+    /** Profile export, profileJsonOf(snapshotProfile()):
+     *  {"schema_version": 1, "spans": [{"path", "name", "count",
+     *  "incl_ns", "self_ns"}...]} sorted by path — the format
+     *  tools/eval_prof and the shard fleet merge consume (DESIGN.md
+     *  Sec 5j). */
     std::string profileJson() const;
 
     /** Write profileJson() to @p path; false on I/O failure. */

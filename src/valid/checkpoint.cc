@@ -1,7 +1,6 @@
 #include "valid/checkpoint.hh"
 
-#include <cstdio>
-
+#include "util/file_io.hh"
 #include "util/logging.hh"
 #include "valid/snapshot.hh"
 
@@ -107,15 +106,12 @@ bool
 writeCheckpointFile(const std::string &path, const ShardCheckpoint &cp,
                     bool binary)
 {
-    // Temp-in-same-directory + rename: the final name either holds
-    // the previous complete checkpoint or the new complete one,
-    // never a prefix.  (writeSnapshotFile itself is not atomic.)
-    const std::string tmp = path + ".tmp";
-    if (!writeSnapshotFile(tmp, toSnapshot(cp), binary))
-        return false;
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        warn("cannot rename checkpoint into place: ", path);
-        std::remove(tmp.c_str());
+    // The final name either holds the previous complete checkpoint
+    // or the new complete one, never a prefix.
+    const JsonValue snap = toSnapshot(cp);
+    const std::string bytes = binary ? encodeBinary(snap) : snap.dump(2);
+    if (!writeFileAtomic(path, bytes)) {
+        warn("cannot write checkpoint: ", path);
         return false;
     }
     return true;

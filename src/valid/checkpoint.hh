@@ -56,8 +56,10 @@ JsonValue toSnapshot(const ShardCheckpoint &cp);
 ShardCheckpoint checkpointFromSnapshot(const JsonValue &snapshot);
 
 /**
- * Atomic write (temp file in the same directory + rename).  Returns
- * false with a warn on IO failure, mirroring writeSnapshotFile.
+ * Atomic write (writeFileAtomic: temp file in the same directory +
+ * rename).  Returns false with a warn on IO failure.  Every caller
+ * passes @p binary = true; the parameter stays only for the
+ * three-argument call in fig13bench/traced.cc.
  */
 bool writeCheckpointFile(const std::string &path,
                          const ShardCheckpoint &cp, bool binary);

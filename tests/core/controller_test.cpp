@@ -168,6 +168,37 @@ TEST(DynamicController, TracedRunRecordsOneDecisionPerPhase)
     trace.clear();
 }
 
+TEST(DynamicController, Fig13DecisionsCarryTheirChipAndCore)
+{
+    // chipOutcomes must stamp each app's own (chip, core) on its
+    // traced decisions, not whatever an earlier runManaged left in
+    // this thread's trace context.
+    ExperimentConfig cfg;
+    cfg.chips = 2;
+    cfg.apps = {"gzip"};
+    cfg.simInsts = 20000;
+    ExperimentContext ctx(cfg);
+    ctx.runApp(0, 0, appByName("gzip"), EnvironmentKind::TS_ASV,
+               AdaptScheme::ExhDyn);
+
+    DecisionTrace &trace = DecisionTrace::global();
+    trace.clear();
+    trace.setEnabled(true);
+    const std::size_t chip = 1;
+    chipOutcomes(ctx, chip, environmentCaps(EnvironmentKind::TS_ASV),
+                 AdaptScheme::ExhDyn);
+    trace.setEnabled(false);
+
+    ASSERT_GT(trace.size(), 0u);
+    const std::size_t a = 0; // gzip, the only selected app
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        EXPECT_EQ(trace.at(i).chip, static_cast<int>(chip)) << i;
+        EXPECT_EQ(trace.at(i).core, static_cast<int>((chip + a) % 4))
+            << i;
+    }
+    trace.clear();
+}
+
 TEST(StaticQualifier, ConfigurationSafeUnderStress)
 {
     Fixture f;

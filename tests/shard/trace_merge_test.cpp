@@ -1,7 +1,8 @@
 /** Tests for the fleet telemetry merge (src/shard/trace_merge):
  *  N-shard Chrome-trace merge onto per-shard pids, the profile merge
  *  property (associative / order-insensitive, mirroring the stats
- *  accumulator discipline), and the warn-and-skip supervisor path. */
+ *  accumulator discipline), the shared profile.json writer, and the
+ *  warn-and-skip supervisor path. */
 
 #include <gtest/gtest.h>
 
@@ -121,6 +122,28 @@ TEST(TraceMergeTest, ProfileJsonRoundTripsThroughParse)
     p["run"] = bucket("run", 1, 900, 100);
     p["run;solve"] = bucket("run;solve", 42, 800, 800);
     expectSameProfile(parseProfileJson(profileToJson(p)), p);
+}
+
+TEST(TraceMergeTest, FleetProfileWriterMatchesTracerBytes)
+{
+    // One profile.json writer: a tracer's export, parsed and
+    // re-serialized by the fleet merge, comes back byte for byte.
+    SpanTracer &tracer = SpanTracer::global();
+    tracer.clear();
+    tracer.setEnabled(true);
+    for (int i = 0; i < 3; ++i) {
+        ScopedSpan outer("outer");
+        {
+            ScopedSpan leaf("leaf \"quoted\"");
+        }
+        ScopedSpan other("other");
+    }
+    tracer.setEnabled(false);
+    const std::string text = tracer.profileJson();
+    tracer.clear();
+
+    ASSERT_NE(text.find("outer;leaf"), std::string::npos) << text;
+    EXPECT_EQ(profileToJson(parseProfileJson(text)), text);
 }
 
 /** Random strictly-increasing split points partitioning [0, n). */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the stats subsystem: instrument semantics, registry
- * registration rules, JSON/CSV snapshots, and the decision trace ring.
+ * registration rules, JSON snapshots, and the decision trace ring.
  */
 
 #include <gtest/gtest.h>
@@ -228,19 +228,6 @@ TEST(StatRegistryTest, JsonRoundTrip)
     EXPECT_EQ(json.scalar("controller.adaptations.value"), "7");
     EXPECT_EQ(json.scalar("chip.thermal.heatsink_c.type"), "gauge");
     EXPECT_EQ(json.scalar("chip.thermal.heatsink_c.value"), "58.25");
-}
-
-TEST(StatRegistryTest, CsvShape)
-{
-    StatRegistry reg;
-    reg.counter("x.count").inc(3);
-    reg.gauge("x.level").set(1.25);
-
-    const auto lines = splitLines(reg.csv());
-    ASSERT_EQ(lines.size(), 3u);   // header + 2 instruments
-    EXPECT_EQ(lines[0], "name,type,value");
-    EXPECT_EQ(lines[1], "x.count,counter,3");
-    EXPECT_EQ(lines[2], "x.level,gauge,1.250000");
 }
 
 TEST(DecisionTraceTest, DisabledRecordIsNoOp)
