@@ -20,21 +20,21 @@
  * (stats JSON), EVAL_TRACE_OUT (decision trace), EVAL_TRACE_SPANS
  * (Chrome/Perfetto spans), EVAL_PROFILE_OUT (span profile, derived
  * from the span path when unset), EVAL_MANIFEST (default
- * <bench>.manifest.json; set empty to disable) and EVAL_STATUS_OUT /
- * EVAL_STATUS_INTERVAL_MS (live status for eval_top).  The manifest's
+ * <bench>.manifest.json; set empty to disable).  The manifest's
  * outputs list every one of them, and all survive fatal()/uncaught-
  * exception exits.  When spans are traced the footer gains a compact
  * span_self_ms map benchtrack uses for regression blame.
  *
- * Benches account per-chip fan-out progress through the "chips"
- * ProgressTracker (the obs-progress-units lint rule enforces the
- * wiring); the reporter derives a throughput_chips_per_s footer
- * metric from it, which benchtrack gates as higher-is-better.
+ * After each per-chip fan-out a bench credits the chips it ran with
+ * BenchReporter::addChips; the reporter divides the total by the wall
+ * clock into a throughput_chips_per_s footer metric, which benchtrack
+ * gates as higher-is-better.
  */
 
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -43,7 +43,6 @@
 
 #include "core/eval.hh"
 #include "exec/thread_pool.hh"
-#include "obs/progress.hh"
 #include "obs/telemetry.hh"
 #include "stats/stats.hh"
 #include "trace/manifest.hh"
@@ -92,6 +91,10 @@ class BenchReporter
         metrics_.emplace_back(key, "\"" + value + "\"");
     }
 
+    /** Credit @p n finished chips to the footer throughput.  Call
+     *  serially, after the fan-out that ran them. */
+    void addChips(std::uint64_t n) { chips_ += n; }
+
     ~BenchReporter()
     {
         const double wallS =
@@ -99,16 +102,12 @@ class BenchReporter
                 std::chrono::steady_clock::now() - start_)
                 .count();
 
-        // Per-chip throughput from the shared progress tracker, so a
-        // wall-clock gate cannot hide per-chip regressions when chip
-        // counts change (benchtrack gates this higher-is-better).
-        if (const ProgressTracker *chips =
-                ProgressRegistry::global().find("chips")) {
-            const std::uint64_t done = chips->done();
-            if (done > 0 && wallS > 0.0) {
-                metric("throughput_chips_per_s",
-                       static_cast<double>(done) / wallS);
-            }
+        // Per-chip throughput, so a wall-clock gate cannot hide
+        // per-chip regressions when chip counts change (benchtrack
+        // gates this higher-is-better).
+        if (chips_ > 0 && wallS > 0.0) {
+            metric("throughput_chips_per_s",
+                   static_cast<double>(chips_) / wallS);
         }
 
         std::string json = "{\"bench\": \"" + name_ +
@@ -169,6 +168,7 @@ class BenchReporter
     std::chrono::steady_clock::time_point start_;
     TelemetryOutputs telemetry_;
     std::vector<std::pair<std::string, std::string>> metrics_;
+    std::uint64_t chips_ = 0;
 };
 
 /** Chip count: EVAL_CHIPS if set, otherwise the bench's default. */
@@ -263,18 +263,10 @@ runEnvironmentSweep(ExperimentContext &ctx,
     for (const AppProfile *app : apps)
         ctx.novarPerf(*app);
 
-    // Progress accounting is observational only (DESIGN.md Sec 5f):
-    // tick() is one relaxed RMW off the bit-identical accumulation
-    // path below.
-    ProgressTracker &chipProgress =
-        ProgressRegistry::global().tracker("chips");
-    chipProgress.addTotal(static_cast<std::uint64_t>(chips));
-
     const auto perChip = globalPool().parallelMap(
         static_cast<std::size_t>(chips), [&](std::size_t chip) {
             ChipSweepRuns runs =
                 runChipSweep(ctx, chip, apps, envs, schemes);
-            chipProgress.tick();
             if (progress && !isQuiet()) {
                 std::fprintf(stderr, "[bench] chip %zu/%d done\n",
                              chip + 1, chips);

@@ -19,6 +19,7 @@ main()
     ExperimentContext ctx(benchConfig(16));
     const SweepResult sweep =
         runEnvironmentSweep(ctx, figureEnvironments(), allSchemes());
+    reporter.addChips(ctx.config().chips);
 
     printEnvironmentFigure(sweep,
                            "Figure 10: relative frequency (f / f_NoVar)",

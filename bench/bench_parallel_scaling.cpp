@@ -18,7 +18,6 @@
 #include <cstring>
 
 #include "bench_common.hh"
-#include "obs/metrics_sampler.hh"
 
 using namespace eval;
 
@@ -49,7 +48,8 @@ bitIdentical(const AppRunResult &a, const AppRunResult &b)
  * count, and not part of the parallel layer under study.
  */
 ScalingRun
-runAtThreads(const ExperimentConfig &cfg, std::size_t threads)
+runAtThreads(BenchReporter &reporter, const ExperimentConfig &cfg,
+             std::size_t threads)
 {
     setGlobalThreads(threads);
     const AppProfile &app = appByName("gzip");
@@ -60,20 +60,14 @@ runAtThreads(const ExperimentConfig &cfg, std::size_t threads)
 
     ctx.novarPerf(app);   // untimed prewarm of the shared caches
 
-    ProgressTracker &chipProgress =
-        ProgressRegistry::global().tracker("chips");
-    chipProgress.addTotal(static_cast<std::uint64_t>(cfg.chips));
-
     const auto t2 = std::chrono::steady_clock::now();
     auto runs = globalPool().parallelMap(
         static_cast<std::size_t>(cfg.chips), [&](std::size_t chip) {
-            AppRunResult r =
-                ctx.runApp(chip, 0, app, EnvironmentKind::TS_ASV,
-                           AdaptScheme::ExhDyn);
-            chipProgress.tick();
-            return r;
+            return ctx.runApp(chip, 0, app, EnvironmentKind::TS_ASV,
+                              AdaptScheme::ExhDyn);
         });
     const auto t3 = std::chrono::steady_clock::now();
+    reporter.addChips(cfg.chips);
 
     ScalingRun out;
     out.wallS = std::chrono::duration<double>(t1 - t0).count() +
@@ -94,7 +88,7 @@ main()
     const std::vector<std::size_t> threadCounts = {1, 2, 4, 8};
     std::vector<ScalingRun> results;
     for (std::size_t n : threadCounts)
-        results.push_back(runAtThreads(cfg, n));
+        results.push_back(runAtThreads(reporter, cfg, n));
 
     bool identical = true;
     for (std::size_t i = 1; i < results.size(); ++i) {
@@ -139,10 +133,10 @@ main()
 
     tracer.setEnabled(false);
     const std::size_t eventsBefore = tracer.eventCount();
-    double offWallS = runAtThreads(cfg, 1).wallS;
+    double offWallS = runAtThreads(reporter, cfg, 1).wallS;
     double offMaxS = offWallS;
     for (int i = 1; i < kOverheadReps; ++i) {
-        const double w = runAtThreads(cfg, 1).wallS;
+        const double w = runAtThreads(reporter, cfg, 1).wallS;
         offWallS = std::min(offWallS, w);
         offMaxS = std::max(offMaxS, w);
     }
@@ -150,9 +144,9 @@ main()
                 "disabled tracer recorded span events");
 
     tracer.setEnabled(true);
-    double onWallS = runAtThreads(cfg, 1).wallS;
+    double onWallS = runAtThreads(reporter, cfg, 1).wallS;
     for (int i = 1; i < kOverheadReps; ++i)
-        onWallS = std::min(onWallS, runAtThreads(cfg, 1).wallS);
+        onWallS = std::min(onWallS, runAtThreads(reporter, cfg, 1).wallS);
     EVAL_ASSERT(tracer.eventCount() > eventsBefore,
                 "enabled tracer recorded no span events");
     tracer.setEnabled(wasTracing);
@@ -176,54 +170,5 @@ main()
         "span_events",
         static_cast<double>(tracer.eventCount() - eventsBefore));
 
-    // Metrics-sampler overhead: the same single-thread pipeline with
-    // live telemetry off and on, budgeted at ≤2% (DESIGN.md Sec 5f).
-    // A private sampler instance (own status file, 20x the default
-    // sampling rate) keeps the measurement independent of any
-    // EVAL_STATUS_OUT-driven global sampler, and over-stresses the
-    // budget rather than flattering it.
-    constexpr double kSamplerBudgetPct = 2.0; // DESIGN.md Sec 5f
-    double samplerOffS = runAtThreads(cfg, 1).wallS;
-    double samplerOffMaxS = samplerOffS;
-    for (int i = 1; i < kOverheadReps; ++i) {
-        const double w = runAtThreads(cfg, 1).wallS;
-        samplerOffS = std::min(samplerOffS, w);
-        samplerOffMaxS = std::max(samplerOffMaxS, w);
-    }
-
-    const std::string overheadStatus =
-        "parallel_scaling.overhead.status.json";
-    MetricsSampler sampler;
-    SamplerConfig samplerCfg;
-    samplerCfg.tool = "parallel_scaling_overhead";
-    samplerCfg.statusPath = overheadStatus;
-    samplerCfg.intervalMs = 25;
-    sampler.configure(samplerCfg);
-    sampler.start();
-    double samplerOnS = runAtThreads(cfg, 1).wallS;
-    for (int i = 1; i < kOverheadReps; ++i)
-        samplerOnS = std::min(samplerOnS, runAtThreads(cfg, 1).wallS);
-    sampler.stop();
-    EVAL_ASSERT(sampler.published() >= 2,
-                "sampler published too few snapshots");
-    std::remove(overheadStatus.c_str());
-
-    const double samplerPct =
-        samplerOffS > 0.0 ? (samplerOnS / samplerOffS - 1.0) * 100.0
-                          : 0.0;
-    const double samplerNoisePct =
-        samplerOffS > 0.0
-            ? (samplerOffMaxS / samplerOffS - 1.0) * 100.0
-            : 0.0;
-    std::printf("metrics sampler overhead: %.2f%% (%llu snapshots, "
-                "budget %.0f%% + %.2f%% measured noise)\n",
-                samplerPct,
-                static_cast<unsigned long long>(sampler.published()),
-                kSamplerBudgetPct, samplerNoisePct);
-    EVAL_ASSERT(samplerPct <= kSamplerBudgetPct + samplerNoisePct,
-                "metrics sampler overhead exceeds the enabled budget");
-    reporter.metric("sampler_overhead_pct", samplerPct);
-    reporter.metric("sampler_snapshots",
-                    static_cast<double>(sampler.published()));
     return identical ? 0 : 1;
 }

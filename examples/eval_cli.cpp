@@ -45,13 +45,6 @@
  *                      flags, seed, stage wall times, peak RSS, every
  *                      output above); EVAL_MANIFEST, default
  *                      manifest.json, "" disables
- *   --status-out=FILE  publish live status snapshots (progress,
- *                      chips/sec, ETA, RSS, stats) to FILE every
- *                      --status-interval-ms (default 500) via
- *                      rename-into-place; watch with eval_top
- *                      (EVAL_STATUS_OUT / EVAL_STATUS_INTERVAL_MS).
- *                      A fig13 --shard=i/N worker without one
- *                      publishes to DIR/status/
  * With any of these outputs set (flag or variable) the command
  * defaults to `run`.  All telemetry files are registered with
  * ExitFlush, so they are written even when the run dies via
@@ -64,7 +57,6 @@
  */
 
 #include <cstdio>
-#include <filesystem>
 
 #include "core/eval.hh"
 #include "exec/thread_pool.hh"
@@ -285,28 +277,18 @@ fig13OutDir(const ArgParser &args)
 }
 
 /**
- * fig13 settles who writes what before telemetry starts.  A
- * --shard=i/N worker without a status path publishes its live status
- * under DIR/status/, where `eval_top DIR/status` tails the whole
- * fleet.  A --shards supervisor hands the span trace and profile to
- * the fleet merge (which records the merged paths in the manifest);
- * its own near-empty tracer must not clobber them.  Returns the
- * outputs handed over.
+ * fig13 settles who writes what before telemetry starts.  A --shards
+ * supervisor (not a --shard=i/N worker) hands the span trace and
+ * profile to the fleet merge (which records the merged paths in the
+ * manifest); its own near-empty tracer must not clobber them.
+ * Returns the outputs handed over.
  */
 TelemetryOutputs
 settleFig13Telemetry(const ArgParser &args, TelemetryOutputs &telemetry)
 {
     TelemetryOutputs fleet;
-    ShardSpec spec;
-    if (parseShardSpec(args.getString("shard", ""), spec)) {
-        if (telemetry.status.empty()) {
-            const std::string outDir = fig13OutDir(args);
-            std::error_code ec;
-            std::filesystem::create_directories(shardStatusDir(outDir),
-                                                ec);
-            telemetry.status = shardStatusPath(outDir, spec.index);
-        }
-    } else if (args.getInt("shards", 0) > 0) {
+    if (args.getString("shard", "").empty() &&
+        args.getInt("shards", 0) > 0) {
         std::swap(fleet.spans, telemetry.spans);
         std::swap(fleet.profile, telemetry.profile);
     }
@@ -445,15 +427,11 @@ main(int argc, char **argv)
         setSpansOutput(telemetry, args.getString("trace-spans", ""));
     telemetry.profile = args.getString("profile-out", telemetry.profile);
     telemetry.manifest = args.getString("manifest", telemetry.manifest);
-    telemetry.status = args.getString("status-out", telemetry.status);
-    telemetry.statusIntervalMs = args.getInt(
-        "status-interval-ms", telemetry.statusIntervalMs);
 
     // With telemetry outputs but no command, default to `run`.
     const bool observing =
         !telemetry.stats.empty() || !telemetry.decisions.empty() ||
-        !telemetry.spans.empty() || !telemetry.profile.empty() ||
-        !telemetry.status.empty();
+        !telemetry.spans.empty() || !telemetry.profile.empty();
     if (args.positional().empty() && !observing)
         return usage();
     const std::string cmd =

@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <utility>
 
-#include "obs/metrics_sampler.hh"
 #include "stats/decision_trace.hh"
 #include "stats/stat_registry.hh"
 #include "trace/exit_flush.hh"
@@ -15,8 +14,6 @@
 namespace eval {
 
 namespace {
-
-constexpr std::int64_t kDefaultStatusIntervalMs = 500;
 
 /** The profile that rides alongside a span trace: x.json ->
  *  x.profile.json, any other name gains ".profile.json". */
@@ -30,13 +27,6 @@ profilePathFor(const std::string &spans)
         return spans.substr(0, spans.size() - suffix.size()) +
                ".profile.json";
     return spans + ".profile.json";
-}
-
-/** A status interval <= 0 means the default. */
-std::int64_t
-statusInterval(std::int64_t ms)
-{
-    return ms > 0 ? ms : kDefaultStatusIntervalMs;
 }
 
 } // namespace
@@ -53,9 +43,6 @@ telemetryFromEnv(const std::string &defaultManifest)
     // cannot use envString (which treats empty as unset).
     const char *manifest = std::getenv("EVAL_MANIFEST");
     out.manifest = manifest ? manifest : defaultManifest;
-    out.status = envString("EVAL_STATUS_OUT", "");
-    out.statusIntervalMs = statusInterval(
-        envInt("EVAL_STATUS_INTERVAL_MS", kDefaultStatusIntervalMs));
     return out;
 }
 
@@ -86,22 +73,9 @@ startTelemetry(const std::string &tool, const TelemetryOutputs &out,
          {std::pair{"stats", out.stats},
           std::pair{"decision_trace", out.decisions},
           std::pair{"trace_spans", out.spans},
-          std::pair{"span_profile", out.profile},
-          std::pair{"status", out.status}}) {
+          std::pair{"span_profile", out.profile}}) {
         if (!path.empty())
             manifest.setOutput(key, path);
-    }
-
-    // Live status: the sampler registers its own ExitFlush closure, so
-    // the final snapshot survives crashes too (DESIGN.md Sec 5f).
-    if (!out.status.empty()) {
-        SamplerConfig sampler;
-        sampler.tool = tool;
-        sampler.statusPath = out.status;
-        sampler.intervalMs = static_cast<std::uint64_t>(
-            statusInterval(out.statusIntervalMs));
-        MetricsSampler::global().configure(sampler);
-        MetricsSampler::global().start();
     }
 
     // Registered up front so a run that dies mid-way (fatal(),
@@ -127,10 +101,6 @@ void
 finishTelemetry(const std::string &stage, double wallS)
 {
     RunManifest::global().addStage(stage, wallS);
-    // stop() joins the sampler thread, publishes the final
-    // (100%-progress) snapshot and unregisters the sampler's ExitFlush
-    // closure before the blanket flush below.
-    MetricsSampler::global().stop();
     ExitFlush::global().runNow();
 }
 

@@ -10,14 +10,11 @@
  *   decisions   EVAL_TRACE_OUT      --trace-out        decision_trace
  *   spans       EVAL_TRACE_SPANS    --trace-spans      trace_spans
  *   profile     EVAL_PROFILE_OUT    --profile-out      span_profile
- *   status      EVAL_STATUS_OUT     --status-out       status
  *   manifest    EVAL_MANIFEST       --manifest         (the manifest)
  *
- * plus EVAL_STATUS_INTERVAL_MS / --status-interval-ms for the status
- * sampler.  An empty path switches the artifact off.  Two defaults
- * follow from other fields: the span profile rides alongside the span
- * trace (x.json -> x.profile.json) when no profile path is given, and
- * a status interval <= 0 means 500 ms.
+ * An empty path switches the artifact off.  The span profile rides
+ * alongside the span trace (x.json -> x.profile.json) when no profile
+ * path is given.
  *
  * Protocol: build the outputs (telemetryFromEnv, then any flags), call
  * startTelemetry once before the run, and finishTelemetry once after
@@ -28,7 +25,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 namespace eval {
@@ -41,8 +37,6 @@ struct TelemetryOutputs
     std::string spans;     ///< SpanTracer Chrome trace_event JSON
     std::string profile;   ///< SpanTracer profile.json
     std::string manifest;  ///< RunManifest JSON
-    std::string status;    ///< MetricsSampler live status JSON
-    std::int64_t statusIntervalMs = 500;
 };
 
 /** The outputs the EVAL_* telemetry variables name; the manifest
@@ -57,17 +51,16 @@ void setSpansOutput(TelemetryOutputs &out, const std::string &spans);
 /**
  * Switch on what @p out asks for: enable DecisionTrace / SpanTracer,
  * stamp @p tool, @p threads and every non-empty output path into the
- * RunManifest, start the global MetricsSampler when a status path is
- * set, and register one ExitFlush closure that writes the stats,
- * decisions, spans, profile and manifest files.  Call once per
+ * RunManifest, and register one ExitFlush closure that writes the
+ * stats, decisions, spans, profile and manifest files.  Call once per
  * process, before the run.
  */
 void startTelemetry(const std::string &tool, const TelemetryOutputs &out,
                     std::size_t threads);
 
 /** Normal-exit flush: record @p stage with @p wallS in the manifest,
- *  stop the sampler (final snapshot), then run every pending
- *  ExitFlush closure, so the atexit hook finds nothing left. */
+ *  then run every pending ExitFlush closure, so the atexit hook finds
+ *  nothing left. */
 void finishTelemetry(const std::string &stage, double wallS);
 
 } // namespace eval

@@ -37,7 +37,7 @@ struct ShardWorkerOptions
 {
     CampaignConfig campaign;
     ShardSpec spec;
-    /** Directory for results/checkpoints/status (created on demand;
+    /** Directory for results and checkpoints (created on demand;
      *  shared by all shards of the run). */
     std::string outDir;
     /** Chips per block: the checkpoint cadence AND the memory bound
@@ -60,10 +60,6 @@ std::string shardResultPath(const std::string &outDir,
                             std::uint32_t shardIndex);
 std::string shardCheckpointPath(const std::string &outDir,
                                 std::uint32_t shardIndex);
-/** Per-shard status JSON (eval_top fleet view tails this dir). */
-std::string shardStatusDir(const std::string &outDir);
-std::string shardStatusPath(const std::string &outDir,
-                            std::uint32_t shardIndex);
 
 /**
  * Load shard @p shardIndex's completed result for @p campaign.

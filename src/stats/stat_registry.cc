@@ -53,9 +53,8 @@ splitDotted(const std::string &name)
 StatRegistry &
 StatRegistry::global()
 {
-    // Leaked: exit-flush hooks (stats dump, status snapshot) read the
-    // registry during process teardown, after function-local statics
-    // are destroyed.
+    // Leaked: the exit-flush stats dump reads the registry during
+    // process teardown, after function-local statics are destroyed.
     static StatRegistry *registry = new StatRegistry;
     return *registry;
 }
@@ -194,24 +193,6 @@ StatRegistry::json() const
     }
     os << "\n}\n";
     return os.str();
-}
-
-std::vector<std::pair<std::string, double>>
-StatRegistry::flat() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::pair<std::string, double>> out;
-    out.reserve(stats_.size());
-    for (const auto &[name, s] : stats_) {
-        const double v = std::visit(
-            [](const auto &stat) {
-                return static_cast<double>(stat.value());
-            },
-            *s);
-        if (std::isfinite(v))
-            out.emplace_back(name, v);
-    }
-    return out;
 }
 
 namespace {

@@ -122,11 +122,6 @@ class StatRegistry
      *  dotted-name hierarchy. */
     std::string json() const;
 
-    /** Flat numeric view for live-telemetry snapshots: one
-     *  (dotted-name, value) pair per instrument, in name order.
-     *  Non-finite values are skipped. */
-    std::vector<std::pair<std::string, double>> flat() const;
-
     bool writeJson(const std::string &path) const;
 
   private:

@@ -1,10 +1,10 @@
 /**
  * @file
  * Atomic whole-file writes: the bytes land in `<path>.tmp` and are
- * renamed into place, so a concurrent reader (eval_top, a resuming
- * shard supervisor) sees the previous complete file or the new one,
- * never a torn prefix.  Shared by the status sampler, the shard
- * checkpoints and the merged campaign/telemetry outputs.
+ * renamed into place, so a concurrent reader (a resuming shard
+ * supervisor) sees the previous complete file or the new one, never a
+ * torn prefix.  Shared by the shard checkpoints and the merged
+ * campaign/telemetry outputs.
  */
 
 #pragma once

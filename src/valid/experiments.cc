@@ -6,7 +6,6 @@
 
 #include "core/environment.hh"
 #include "exec/thread_pool.hh"
-#include "obs/progress.hh"
 #include "util/logging.hh"
 #include "valid/serializers.hh"
 #include "variation/chip.hh"
@@ -143,13 +142,8 @@ sweepChips(ExperimentContext &ctx,
     for (const AppProfile *app : apps)
         ctx.novarPerf(*app);
     const auto chips = static_cast<std::size_t>(ctx.config().chips);
-    static ProgressTracker &chipProgress =
-        ProgressRegistry::global().tracker("chips");
-    chipProgress.addTotal(chips);
     return globalPool().parallelMap(chips, [&](std::size_t chip) {
-        ChipSweepRuns runs = runChipSweep(ctx, chip, apps, envs, schemes);
-        chipProgress.tick();
-        return runs;
+        return runChipSweep(ctx, chip, apps, envs, schemes);
     });
 }
 
@@ -295,18 +289,11 @@ runFig13Micro(const ExperimentTweaks &tweaks)
     ExperimentContext ctx(
         microConfig(1, 3, {"gzip", "swim", "applu"}, tweaks));
     const auto chips = static_cast<std::size_t>(ctx.config().chips);
-
-    static ProgressTracker &chipProgress =
-        ProgressRegistry::global().tracker("chips");
-    chipProgress.addTotal(kNumVoltageEnvs * chips);
     for (const VoltageEnv &env : fig13VoltageEnvs()) {
         const EnvCapabilities caps = fig13Caps(env);
         const auto perChip =
             globalPool().parallelMap(chips, [&](std::size_t chip) {
-                const auto outcomes =
-                    chipOutcomes(ctx, chip, caps, AdaptScheme::FuzzyDyn);
-                chipProgress.tick();
-                return outcomes;
+                return chipOutcomes(ctx, chip, caps, AdaptScheme::FuzzyDyn);
             });
         std::map<RetuneOutcome, std::uint64_t> outcomes;
         std::uint64_t invocations = 0;

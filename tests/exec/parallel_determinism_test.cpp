@@ -5,6 +5,7 @@
  * streams + per-slot writes + serial-order accumulation).
  */
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include "cmp/cmp_system.hh"
 #include "core/eval.hh"
 #include "exec/thread_pool.hh"
+#include "shard/supervisor.hh"
+#include "valid/snapshot.hh"
 
 using namespace eval;
 
@@ -44,6 +47,23 @@ runMixOverChips(std::size_t threads)
         });
     setGlobalThreads(1);
     return perChip;
+}
+
+/** A small Fig 13 campaign (Fuzzy-Dyn, so FC training and both
+ *  optimizer fan-outs run) at @p threads: the snapshot bytes plus the
+ *  stats JSON of its accumulator. */
+std::string
+fig13CampaignBytes(std::size_t threads)
+{
+    CampaignConfig campaign;
+    campaign.experiment = smallConfig();
+    campaign.experiment.chips = 6;
+    campaign.experiment.apps = {"gzip", "swim"};
+    campaign.scheme = AdaptScheme::FuzzyDyn;
+    setGlobalThreads(threads);
+    const CampaignAccumulator acc = runMonolithic(campaign);
+    setGlobalThreads(1);
+    return encodeBinary(acc.toSnapshot()) + acc.statsJson();
 }
 
 } // namespace
@@ -97,6 +117,15 @@ TEST(ParallelDeterminism, CmpMixMetricsIdenticalAcrossThreads)
                       parallel[c].corePowerW[core]);
         }
     }
+}
+
+TEST(ParallelDeterminism, Fig13CampaignIdenticalAcrossThreads)
+{
+    const std::string serial = fig13CampaignBytes(1);
+    const std::string parallel = fig13CampaignBytes(4);
+    ASSERT_FALSE(serial.empty());
+    EXPECT_TRUE(serial == parallel)
+        << "Fig 13 campaign accumulator differs between 1 and 4 threads";
 }
 
 TEST(ParallelDeterminism, RngSplitMatchesForkWithoutAdvancing)

@@ -82,7 +82,6 @@ TEST(LintCorpus, ViolatingTreeTripsEveryRule)
     EXPECT_EQ(countRule(diags, "hyg-using-namespace"), 1);
     EXPECT_EQ(countRule(diags, "hyg-iostream"), 3);
     EXPECT_EQ(countRule(diags, "obs-span-leak"), 5);
-    EXPECT_EQ(countRule(diags, "obs-progress-units"), 2);
     EXPECT_EQ(countRule(diags, "perf-hot-alloc"), 7); // 6 kernel + 1 marker
     EXPECT_EQ(countRule(diags, "lay-edge"), 1);
     EXPECT_EQ(countRule(diags, "lay-cycle"), 1);
@@ -106,10 +105,6 @@ TEST(LintCorpus, ViolatingTreeTripsEveryRule)
                            "det-unordered"));
     EXPECT_TRUE(hasFinding(diags, "src/model/bad_span_leak.cc", 15,
                            "obs-span-leak"));
-    EXPECT_TRUE(hasFinding(diags, "bench/bad_no_progress.cpp", 32,
-                           "obs-progress-units"));
-    EXPECT_TRUE(hasFinding(diags, "bench/bad_no_progress.cpp", 36,
-                           "obs-progress-units"));
     EXPECT_TRUE(hasFinding(diags, "src/kernels/bad_hot_alloc.cc", 20,
                            "perf-hot-alloc"));
     EXPECT_TRUE(hasFinding(diags, "src/kernels/bad_hot_alloc.cc", 23,
@@ -137,7 +132,7 @@ TEST(LintCorpus, ViolatingTreeTripsEveryRule)
                            "atomics-relaxed"));
     EXPECT_TRUE(hasFinding(diags, "src/model/bad_par_capture.cc", 22,
                            "det-par-capture"));
-    EXPECT_TRUE(hasFinding(diags, "bench/bad_no_progress.cpp", 33,
+    EXPECT_TRUE(hasFinding(diags, "bench/bad_par_sum.cpp", 22,
                            "det-par-capture"));
 }
 
@@ -342,13 +337,14 @@ TEST(LintRules, PathScopingExemptsTheSanctionedLayers)
 {
     EXPECT_TRUE(lintSource("src/util/random.cc", "int x = rand();\n")
                     .empty());
-    EXPECT_TRUE(lintSource("src/obs/t.cc",
+    EXPECT_TRUE(lintSource("src/trace/t.cc",
                            "auto t = steady_clock::now();\n")
                     .empty());
     EXPECT_TRUE(lintSource("tests/t.cc",
                            "auto t = steady_clock::now();\n")
                     .empty());
-    for (const char *path : {"src/core/t.cc", "src/stats/t.cc"}) {
+    for (const char *path :
+         {"src/core/t.cc", "src/stats/t.cc", "src/obs/t.cc"}) {
         EXPECT_EQ(countRule(lintSource(path,
                                        "auto t = steady_clock::now();\n"),
                             "det-wallclock"),
@@ -429,7 +425,7 @@ TEST(LintRules, CatalogKnowsEveryReportedRule)
          {"det-entropy", "det-wallclock", "det-unordered", "det-shared-rng",
           "det-par-capture", "num-float-eq", "num-float-narrow",
           "hyg-pragma-once", "hyg-using-namespace", "hyg-iostream",
-          "obs-span-leak", "obs-progress-units", "perf-hot-alloc",
+          "obs-span-leak", "perf-hot-alloc",
           "lay-edge", "lay-cycle", "lay-module", "lay-unused-edge",
           "lay-manifest", "exc-contract", "atomics-relaxed",
           "lint-bad-suppression", "lint-unused-suppression"})

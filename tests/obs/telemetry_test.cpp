@@ -1,6 +1,6 @@
 /** Tests for the shared telemetry setup (src/obs/telemetry.hh): the
- *  EVAL_* variables it reads, the derived profile path and status
- *  interval, and a full start/finish cycle that must write every
+ *  EVAL_* variables it reads, the derived profile path, and a full
+ *  start/finish cycle that must write every
  *  artifact, list each in the manifest, and leave nothing pending in
  *  ExitFlush. */
 
@@ -27,8 +27,7 @@ namespace fs = std::filesystem;
 
 constexpr const char *kVars[] = {
     "EVAL_STATS_OUT",   "EVAL_TRACE_OUT", "EVAL_TRACE_SPANS",
-    "EVAL_PROFILE_OUT", "EVAL_MANIFEST",  "EVAL_STATUS_OUT",
-    "EVAL_STATUS_INTERVAL_MS",
+    "EVAL_PROFILE_OUT", "EVAL_MANIFEST",
 };
 
 std::string
@@ -65,8 +64,6 @@ TEST_F(TelemetryTest, FromEnvReadsEveryVariable)
     setenv("EVAL_TRACE_SPANS", "spans.json", 1);
     setenv("EVAL_PROFILE_OUT", "p.json", 1);
     setenv("EVAL_MANIFEST", "m.json", 1);
-    setenv("EVAL_STATUS_OUT", "status.json", 1);
-    setenv("EVAL_STATUS_INTERVAL_MS", "50", 1);
 
     const TelemetryOutputs out = telemetryFromEnv("default.json");
     EXPECT_EQ(out.stats, "s.json");
@@ -74,8 +71,6 @@ TEST_F(TelemetryTest, FromEnvReadsEveryVariable)
     EXPECT_EQ(out.spans, "spans.json");
     EXPECT_EQ(out.profile, "p.json");
     EXPECT_EQ(out.manifest, "m.json");
-    EXPECT_EQ(out.status, "status.json");
-    EXPECT_EQ(out.statusIntervalMs, 50);
 }
 
 TEST_F(TelemetryTest, DefaultsFollowTheOneRule)
@@ -85,22 +80,17 @@ TEST_F(TelemetryTest, DefaultsFollowTheOneRule)
     EXPECT_TRUE(out.spans.empty());
     EXPECT_TRUE(out.profile.empty());
     EXPECT_EQ(out.manifest, "default.json");
-    EXPECT_EQ(out.statusIntervalMs, 500);
 
     // The profile rides alongside the span trace.
     setenv("EVAL_TRACE_SPANS", "run/spans.json", 1);
-    setenv("EVAL_STATUS_INTERVAL_MS", "0", 1);
     setenv("EVAL_MANIFEST", "", 1);
     out = telemetryFromEnv("default.json");
     EXPECT_EQ(out.profile, "run/spans.profile.json");
-    EXPECT_EQ(out.statusIntervalMs, 500);
     EXPECT_TRUE(out.manifest.empty());
 
     setenv("EVAL_TRACE_SPANS", "spans.trace", 1);
-    setenv("EVAL_STATUS_INTERVAL_MS", "-7", 1);
     out = telemetryFromEnv("default.json");
     EXPECT_EQ(out.profile, "spans.trace.profile.json");
-    EXPECT_EQ(out.statusIntervalMs, 500);
 }
 
 TEST_F(TelemetryTest, DerivedProfileFollowsTheSpansExplicitOneStays)
@@ -131,8 +121,6 @@ TEST_F(TelemetryTest, StartFinishWritesEveryArtifactAndListsIt)
     out.spans = (dir / "spans.json").string();
     out.profile = (dir / "profile.json").string();
     out.manifest = (dir / "manifest.json").string();
-    out.status = (dir / "status.json").string();
-    out.statusIntervalMs = 10;
 
     RunManifest::global().reset();
     DecisionTrace::global().clear();
@@ -154,8 +142,7 @@ TEST_F(TelemetryTest, StartFinishWritesEveryArtifactAndListsIt)
     SpanTracer::global().setEnabled(false);
 
     for (const std::string &path : {out.stats, out.decisions, out.spans,
-                                    out.profile, out.manifest,
-                                    out.status})
+                                    out.profile, out.manifest})
         EXPECT_FALSE(slurp(path).empty()) << path;
     EXPECT_NE(slurp(out.stats).find("telemetry_test"), std::string::npos);
     EXPECT_NE(slurp(out.profile).find("telemetry_test.run"),
@@ -169,7 +156,6 @@ TEST_F(TelemetryTest, StartFinishWritesEveryArtifactAndListsIt)
     EXPECT_EQ(outputs.at("decision_trace").asString(), out.decisions);
     EXPECT_EQ(outputs.at("trace_spans").asString(), out.spans);
     EXPECT_EQ(outputs.at("span_profile").asString(), out.profile);
-    EXPECT_EQ(outputs.at("status").asString(), out.status);
     EXPECT_EQ(manifest.at("stages").asArray().size(), 1u);
 
     RunManifest::global().reset();

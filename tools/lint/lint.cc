@@ -30,7 +30,7 @@ struct PathScope
 {
     bool header = false;      ///< .hh/.h/.hpp
     bool inSrc = false;       ///< under src/
-    bool timingExempt = false;  ///< entropy, logging, trace, obs
+    bool timingExempt = false;  ///< entropy, logging, trace
     bool iostreamExempt = false; ///< the logging sink itself
 };
 
@@ -45,8 +45,7 @@ classify(const std::string &relPath)
     ps.inSrc = startsWith(relPath, "src/");
     ps.timingExempt = startsWith(relPath, "src/util/random") ||
                       startsWith(relPath, "src/util/logging") ||
-                      startsWith(relPath, "src/trace/") ||
-                      startsWith(relPath, "src/obs/");
+                      startsWith(relPath, "src/trace/");
     ps.iostreamExempt = startsWith(relPath, "src/util/logging");
     return ps;
 }
@@ -105,8 +104,8 @@ ruleDetWallclock(const Ctx &ctx)
             ctx.emit(pos, "det-wallclock",
                      std::string("wall-clock type '") + t +
                          "' on a model path; timing belongs to the "
-                         "span tracer (src/trace), the live sampler "
-                         "(src/obs) or logging timestamps");
+                         "span tracer (src/trace) or logging "
+                         "timestamps");
 }
 
 void
@@ -316,41 +315,6 @@ ruleObsSpanLeak(const Ctx &ctx)
 }
 
 void
-ruleObsProgressUnits(const Ctx &ctx)
-{
-    // Every parallel fan-out in bench/ is user-visible work: it must
-    // tick a ProgressTracker so the status file (and eval_top) can
-    // show completion, throughput, and ETA for the run.  A fan-out
-    // whose progress is reported elsewhere carries an audited
-    // suppression.
-    if (!startsWith(ctx.relPath, "bench/"))
-        return;
-    const std::string &code = ctx.scan.code;
-    static const char *entries[] = {"parallelFor", "parallelMap"};
-    for (const char *entry : entries) {
-        for (std::size_t pos : findTokens(code, entry, true)) {
-            const std::size_t open = code.find('(', pos);
-            const std::size_t close = matchParen(code, open);
-            if (close == open)
-                continue; // unbalanced (partial file); nothing to scan
-            const std::string body = code.substr(open, close - open);
-            // A fan-out call site passes a lambda; a region without
-            // one is the pool's own declaration/definition.
-            if (body.find('[') == std::string::npos)
-                continue;
-            if (!findTokens(body, "tick", true).empty())
-                continue;
-            ctx.emit(pos, "obs-progress-units",
-                     std::string(entry) +
-                         " body in bench/ never calls "
-                         "ProgressTracker::tick; fan-outs must report "
-                         "progress so status files show completion and "
-                         "throughput (see src/obs/progress.hh)");
-        }
-    }
-}
-
-void
 rulePerfHotAlloc(const Ctx &ctx)
 {
     // Hot-kernel scope: the inner-loop kernel layer (src/kernels/),
@@ -449,7 +413,6 @@ runFileRules(const Ctx &ctx)
     ruleHygUsingNamespace(ctx);
     ruleHygIostream(ctx);
     ruleObsSpanLeak(ctx);
-    ruleObsProgressUnits(ctx);
     rulePerfHotAlloc(ctx);
 }
 
@@ -601,9 +564,6 @@ ruleCatalog()
         {"obs-span-leak",
          "spans are RAII-only: no heap/pointer/reference ScopedSpan "
          "and no raw begin/end span calls outside src/trace"},
-        {"obs-progress-units",
-         "every parallelFor/parallelMap in bench/ must tick a "
-         "ProgressTracker (or carry an audited suppression)"},
         {"perf-hot-alloc",
          "no heap allocation (new, malloc, make_unique/shared, "
          "std::function, unreserved push_back, sized vector locals) in "
