@@ -30,6 +30,13 @@ main()
         {EnvironmentKind::TS_ASV_Q_FU, AdaptScheme::FuzzyDyn},
     };
 
+    // Characterize every app of every mix before the first fan-out
+    // (warm() skips the repeats).
+    std::vector<const AppProfile *> mixApps;
+    for (const auto &[mixName, mix] : mixes)
+        mixApps.insert(mixApps.end(), mix.begin(), mix.end());
+    ctx.characterizations().warm(mixApps);
+
     TablePrinter table("CMP mixes: throughput / chip power / heat sink");
     table.header({"mix", "environment", "throughputRel", "chip W",
                   "TH (C)", "throttle steps"});

@@ -68,10 +68,12 @@ class BenchReporter
     {
         // Benches opt in to the parallel execution layer: EVAL_THREADS
         // when set, hardware concurrency otherwise (the library
-        // default stays serial).  The resulting thread count is
-        // reported in the footer.
+        // default stays serial).  The footer reports this count, the
+        // one the manifest records, even if the bench resizes the
+        // pool later.
         setGlobalThreads(0);
-        startTelemetry(name_, telemetry_, globalThreads());
+        threads_ = globalThreads();
+        startTelemetry(name_, telemetry_, threads_);
     }
 
     BenchReporter(const BenchReporter &) = delete;
@@ -115,7 +117,7 @@ class BenchReporter
         char buf[40];
         std::snprintf(buf, sizeof(buf), "%.3f", wallS);
         json += buf;
-        json += ", \"threads\": " + std::to_string(globalThreads());
+        json += ", \"threads\": " + std::to_string(threads_);
         json += ", \"peak_rss_kb\": " + std::to_string(peakRssKb());
         if (!telemetry_.spans.empty())
             json += ", \"trace_spans\": \"" + telemetry_.spans + "\"";
@@ -167,6 +169,7 @@ class BenchReporter
     std::string name_;
     std::chrono::steady_clock::time_point start_;
     TelemetryOutputs telemetry_;
+    std::size_t threads_ = 1;
     std::vector<std::pair<std::string, std::string>> metrics_;
     std::uint64_t chips_ = 0;
 };
@@ -257,9 +260,10 @@ runEnvironmentSweep(ExperimentContext &ctx,
     const int chips = ctx.config().chips;
     const std::size_t numManaged = envs.size() * schemes.size();
 
-    // Prewarm the shared caches (characterizations, NoVar reference)
-    // serially so parallel chip tasks do not duplicate that work on
-    // their first miss.
+    // Prewarm the shared caches so parallel chip tasks do not wait on
+    // them: the characterization probes fan out on the pool, then the
+    // NoVar reference runs serially (it owns the one ideal model).
+    ctx.characterizations().warm(apps);
     for (const AppProfile *app : apps)
         ctx.novarPerf(*app);
 

@@ -47,13 +47,10 @@ main()
     // is the shape the golden paper-anchor test pins.
     std::array<Tally, kNumVoltageEnvs> perEnv{};
 
-    // Warm the per-app characterization cache before the chip fan-out
-    // starts: the first cell's chips would otherwise all serialize on
-    // the cache's call_once.  Distinct apps characterize in parallel.
-    globalPool().parallelFor(std::size_t{0}, apps.size(), 1,
-                             [&ctx, &apps](std::size_t a) {
-                                 ctx.characterizations().get(*apps[a]);
-                             });
+    // Characterize every app before the chip fan-out starts, one pool
+    // task per probe; the first cell's chips would otherwise all wait
+    // on the cache's call_once.
+    ctx.characterizations().warm(apps);
 
     for (const auto &[techName, tech] : techniques) {
         for (std::size_t e = 0; e < kNumVoltageEnvs; ++e) {

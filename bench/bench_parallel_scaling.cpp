@@ -43,9 +43,10 @@ bitIdentical(const AppRunResult &a, const AppRunResult &b)
  * One full pipeline at @p threads: manufacture the population
  * (parallel variation-field FFTs), then adapt one app on every chip
  * (parallel per-chip fan-out).  The shared-cache prewarm between the
- * two segments (characterization + NoVar reference) is excluded from
- * the timing: it is inherently serial, identical at every thread
- * count, and not part of the parallel layer under study.
+ * two segments is excluded from the timing: the characterization
+ * probes fan out in CharacterizationCache::warm and the NoVar
+ * reference is one serial run, and neither is the per-chip layer
+ * under study.
  */
 ScalingRun
 runAtThreads(BenchReporter &reporter, const ExperimentConfig &cfg,
@@ -58,7 +59,9 @@ runAtThreads(BenchReporter &reporter, const ExperimentConfig &cfg,
     ExperimentContext ctx(cfg);
     const auto t1 = std::chrono::steady_clock::now();
 
-    ctx.novarPerf(app);   // untimed prewarm of the shared caches
+    // Untimed prewarm of the shared caches.
+    ctx.characterizations().warm({&app});
+    ctx.novarPerf(app);
 
     const auto t2 = std::chrono::steady_clock::now();
     auto runs = globalPool().parallelMap(

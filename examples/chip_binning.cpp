@@ -26,6 +26,7 @@ main()
 
     const AppProfile &app = appByName("gzip");   // binning workload
     const double fNom = cfg.process.freqNominal;
+    ctx.characterizations().warm({&app});
 
     Histogram baseBins(2.4, 5.2, 14);   // 200 MHz bins
     Histogram evalBins(2.4, 5.2, 14);

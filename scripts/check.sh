@@ -16,8 +16,9 @@
 #        scripts/check.sh --prof-smoke [build-dir]
 #
 # --tsan (or CHECK_TSAN=1) configures with -DEVAL_TSAN=ON and runs the
-# concurrency-sensitive test subset (exec, stats, core, cmp, obs)
-# under ThreadSanitizer instead of the full Werror build.
+# concurrency-sensitive test subset (exec, stats, core, cmp, obs, lint,
+# shard_differential) under ThreadSanitizer instead of the full Werror
+# build.
 #
 # --asan / --ubsan (or CHECK_ASAN=1 / CHECK_UBSAN=1) configure with
 # -DEVAL_ASAN=ON / -DEVAL_UBSAN=ON and run the tier-1 suite under
@@ -110,9 +111,11 @@ if [[ "$mode" == "tsan" ]]; then
     cmake -B "$build_dir" -S "$repo_root" -DEVAL_TSAN=ON
     cmake --build "$build_dir" -j"$(nproc)"
     # Exercise the parallel layer for real: the determinism test and the
-    # stats test both fan out on multi-thread pools.
+    # stats test both fan out on multi-thread pools, and
+    # shard_differential runs CharacterizationCache::warm inside both
+    # runMonolithic and runShardWorker.
     EVAL_THREADS=4 ctest --test-dir "$build_dir" --output-on-failure \
-        -R 'exec_|stats_|core_|cmp_|obs_|lint_'
+        -R 'exec_|stats_|core_|cmp_|obs_|lint_|shard_differential'
     echo "check.sh: TSan tests passed"
     exit 0
 fi

@@ -121,9 +121,10 @@ struct ExperimentConfig
  * pair must be driven by at most one task at a time because the
  * returned CoreSystemModel is stateful (setAppType, thermal iterate).
  * The ideal-chip model is shared across tasks, so runNoVar/novarPerf
- * serialize on it internally — prewarm novarPerf for the selected
- * apps before fanning out to keep that serialization off the
- * parallel path.
+ * serialize on it internally.  Before fanning out, warm the selected
+ * apps' characterizations (characterizations().warm, one pool task
+ * per probe) and, if the chips run NoVar references, prewarm
+ * novarPerf, to keep both off the parallel path.
  */
 class ExperimentContext
 {
@@ -283,8 +284,9 @@ struct ChipSweepRuns
 /**
  * One chip of the Figure 10-12 sweep: each app (on core
  * (chip + a) % 4) runs Baseline, NoVar, then every (env, scheme)
- * pair in order.  Prewarm novarPerf for @p apps before fanning this
- * out over chips (see ExperimentContext).
+ * pair in order.  Warm @p apps' characterizations and prewarm
+ * novarPerf for them before fanning this out over chips (see
+ * ExperimentContext).
  */
 ChipSweepRuns runChipSweep(ExperimentContext &ctx, std::size_t chip,
                            const std::vector<const AppProfile *> &apps,

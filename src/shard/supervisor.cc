@@ -189,6 +189,8 @@ runMonolithic(const CampaignConfig &campaign)
     constexpr std::uint64_t kBlock = 16;
     CampaignAccumulator acc(0);
     std::uint64_t cursor = 0;
+    if (total > 0)
+        ctx.characterizations().warm(ctx.selectedApps());
     while (cursor < total) {
         const std::uint64_t blockEnd = std::min(cursor + kBlock, total);
         const auto blockSize =

@@ -151,6 +151,10 @@ runShardWorker(const ShardWorkerOptions &opts)
     // this context produces the monolithic run's chips exactly,
     // manufactured lazily one block at a time.
     ExperimentContext ctx(opts.campaign.experiment);
+    // Every chip runs every selected app: characterize them all up
+    // front, one pool task per probe, instead of inside the blocks.
+    if (cursor < range.end)
+        ctx.characterizations().warm(ctx.selectedApps());
 
     const std::uint64_t blockChips =
         std::max<std::uint64_t>(1, opts.checkpointEvery);

@@ -139,6 +139,7 @@ sweepChips(ExperimentContext &ctx,
            const std::vector<EnvironmentKind> &envs,
            const std::vector<AdaptScheme> &schemes)
 {
+    ctx.characterizations().warm(apps);
     for (const AppProfile *app : apps)
         ctx.novarPerf(*app);
     const auto chips = static_cast<std::size_t>(ctx.config().chips);
@@ -289,6 +290,7 @@ runFig13Micro(const ExperimentTweaks &tweaks)
     ExperimentContext ctx(
         microConfig(1, 3, {"gzip", "swim", "applu"}, tweaks));
     const auto chips = static_cast<std::size_t>(ctx.config().chips);
+    ctx.characterizations().warm(ctx.selectedApps());
     for (const VoltageEnv &env : fig13VoltageEnvs()) {
         const EnvCapabilities caps = fig13Caps(env);
         const auto perChip =

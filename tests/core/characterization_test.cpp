@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "core/characterization.hh"
+#include "exec/thread_pool.hh"
+#include "valid/serializers.hh"
+#include "valid/snapshot.hh"
 
 namespace eval {
 namespace {
@@ -73,6 +76,58 @@ TEST(Characterization, PhasesDiffer)
     // The memory-heavy phase (index 1) must show a higher miss rate.
     EXPECT_GT(chr.phases[1].chr.perfFull.missesPerInst,
               chr.phases[2].chr.perfFull.missesPerInst);
+}
+
+TEST(Characterization, WarmMatchesLazyGet)
+{
+    // Short probes keep the whole suite cheap; the equality is exact
+    // at any length.
+    RecoveryModel recovery;
+    constexpr std::uint64_t kSimInsts = 5000;
+    std::vector<const AppProfile *> suite;
+    for (const AppProfile &app : specSuite())
+        suite.push_back(&app);
+    ASSERT_EQ(suite.size(), 24u);
+
+    CharacterizationCache warmed{recovery, 4e9, 123, kSimInsts};
+    setGlobalThreads(4);
+    warmed.warm(suite);
+    setGlobalThreads(1);
+
+    CharacterizationCache lazy{recovery, 4e9, 123, kSimInsts};
+    for (const AppProfile *app : suite) {
+        const AppCharacterization &w = warmed.get(*app);
+        const AppCharacterization &l = lazy.get(*app);
+        EXPECT_TRUE(encodeBinary(toSnapshot(w)) ==
+                    encodeBinary(toSnapshot(l)))
+            << app->name << ": warm() and a cold get() disagree";
+    }
+    // Both paths share one assembly, so pin it to the simulator too:
+    // each gcc phase's full-queue record is a full-queue run of that
+    // phase (warm-up, then measure) under the cache's seeds.
+    const AppCharacterization &gccChr = warmed.get(appByName("gcc"));
+    ASSERT_EQ(gccChr.phases.size(), 3u);
+    for (std::size_t p = 0; p < 3; ++p) {
+        SyntheticTrace trace(appByName("gcc"), 123 ^ (p * 7919));
+        trace.pinPhase(p);
+        Core core(CoreConfig{}, 123 ^ 0xC0DE ^ p);
+        core.run(trace, kSimInsts);
+        const PerfInputs full = PerfInputs::fromStats(
+            core.run(trace, kSimInsts), 4e9, recovery.penaltyCycles);
+        EXPECT_EQ(gccChr.phases[p].chr.perfFull.cpiComp, full.cpiComp)
+            << "gcc phase " << p;
+        EXPECT_EQ(gccChr.phases[p].chr.perfFull.missesPerInst,
+                  full.missesPerInst)
+            << "gcc phase " << p;
+    }
+
+    // Warming again, or warming what get() already built, keeps the
+    // cached objects.
+    const AppCharacterization *swim = &lazy.get(appByName("swim"));
+    warmed.warm(suite);
+    lazy.warm(suite);
+    EXPECT_EQ(&warmed.get(appByName("gcc")), &gccChr);
+    EXPECT_EQ(&lazy.get(appByName("swim")), swim);
 }
 
 } // namespace

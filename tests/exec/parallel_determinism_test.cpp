@@ -49,17 +49,17 @@ runMixOverChips(std::size_t threads)
     return perChip;
 }
 
-/** A small Fig 13 campaign (Fuzzy-Dyn, so FC training and both
- *  optimizer fan-outs run) at @p threads: the snapshot bytes plus the
- *  stats JSON of its accumulator. */
+/** A small Fig 13 campaign over @p apps at @p threads: the snapshot
+ *  bytes plus the stats JSON of its accumulator. */
 std::string
-fig13CampaignBytes(std::size_t threads)
+fig13CampaignBytes(std::size_t threads, AdaptScheme scheme,
+                   const std::vector<std::string> &apps)
 {
     CampaignConfig campaign;
     campaign.experiment = smallConfig();
     campaign.experiment.chips = 6;
-    campaign.experiment.apps = {"gzip", "swim"};
-    campaign.scheme = AdaptScheme::FuzzyDyn;
+    campaign.experiment.apps = apps;
+    campaign.scheme = scheme;
     setGlobalThreads(threads);
     const CampaignAccumulator acc = runMonolithic(campaign);
     setGlobalThreads(1);
@@ -121,11 +121,30 @@ TEST(ParallelDeterminism, CmpMixMetricsIdenticalAcrossThreads)
 
 TEST(ParallelDeterminism, Fig13CampaignIdenticalAcrossThreads)
 {
-    const std::string serial = fig13CampaignBytes(1);
-    const std::string parallel = fig13CampaignBytes(4);
+    // Fuzzy-Dyn, so FC training and both optimizer fan-outs run.
+    const std::vector<std::string> apps = {"gzip", "swim"};
+    const std::string serial =
+        fig13CampaignBytes(1, AdaptScheme::FuzzyDyn, apps);
+    const std::string parallel =
+        fig13CampaignBytes(4, AdaptScheme::FuzzyDyn, apps);
     ASSERT_FALSE(serial.empty());
     EXPECT_TRUE(serial == parallel)
         << "Fig 13 campaign accumulator differs between 1 and 4 threads";
+}
+
+TEST(ParallelDeterminism, Fig13ExhCampaignIdenticalAcrossThreads)
+{
+    // The Exh-Dyn suite campaign shape: many apps whose probes fan out
+    // together in CharacterizationCache::warm (gcc has three phases).
+    const std::vector<std::string> apps = {"gzip", "gcc",  "mcf",
+                                           "swim", "applu", "lucas"};
+    const std::string serial =
+        fig13CampaignBytes(1, AdaptScheme::ExhDyn, apps);
+    const std::string parallel =
+        fig13CampaignBytes(4, AdaptScheme::ExhDyn, apps);
+    ASSERT_FALSE(serial.empty());
+    EXPECT_TRUE(serial == parallel)
+        << "Exh-Dyn campaign accumulator differs between 1 and 4 threads";
 }
 
 TEST(ParallelDeterminism, RngSplitMatchesForkWithoutAdvancing)
