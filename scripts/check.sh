@@ -214,8 +214,11 @@ fi
 if [[ "$mode" == "bench-track" ]]; then
     build_dir="${1:-$repo_root/build-check}"
     # Fast, representative bench set; override with BENCH_TRACK_SET.
+    # bench_fig13_outcomes is the one that times fuzzy-controller
+    # training (label search + fit).
     bench_set=(${BENCH_TRACK_SET:-bench_fig01_vats bench_fig10_frequency \
-               bench_area_overhead bench_parallel_scaling})
+               bench_area_overhead bench_parallel_scaling \
+               bench_fig13_outcomes})
     history_dir="${BENCH_TRACK_HISTORY:-$repo_root/bench/history}"
 
     cmake -B "$build_dir" -S "$repo_root"

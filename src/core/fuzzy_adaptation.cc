@@ -1,5 +1,8 @@
 #include "core/fuzzy_adaptation.hh"
 
+#include <algorithm>
+#include <numeric>
+
 #include "stats/stat_registry.hh"
 #include "trace/span_tracer.hh"
 #include "util/config.hh"
@@ -45,42 +48,68 @@ CoreFuzzySystem::train()
         const SubsystemModel &sub = core_.subsystem(id);
         Rng subRng = rng.fork(0x5B + i);
 
+        // Draw every example first, in the legacy RNG order (thC,
+        // alphaF, alt, then u when a knob exists).
+        struct Example
+        {
+            double thC, alphaF, u;
+            bool alt;
+            double fmax;
+        };
+        const bool powerLabels = caps_.asv || caps_.abb;
+        std::vector<Example> ex(cfg_.examplesPerFc);
+        for (Example &e : ex) {
+            e.thC = subRng.uniform(45.0, 70.0);
+            e.alphaF = sub.power().alphaRef * subRng.uniform(0.1, 2.0);
+            e.alt = sub.hasAlternate() && subRng.bernoulli(0.5);
+            e.u = powerLabels ? subRng.uniform() : 0.0;
+        }
+
+        // Solve the fmax labels in (alt, thC) order, each search
+        // warm-started from its neighbour's answer.  The hint is
+        // verified, so every label equals the unhinted search's.
+        std::vector<std::size_t> order(ex.size());
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             if (ex[a].alt != ex[b].alt)
+                                 return ex[b].alt;
+                             return ex[a].thC < ex[b].thC;
+                         });
+        FreqHint hint;
+        for (std::size_t k : order) {
+            Example &e = ex[k];
+            e.fmax = clamp(exhaustive.maxFrequency(core_, id, e.alt,
+                                                   e.alphaF, e.thC, hint),
+                           knobs.freq.lo(), knobs.freq.hi());
+        }
+
+        // Power labels and every training pair, in draw order.
         std::vector<std::vector<double>> fmaxIn, vddIn, vbbIn;
         std::vector<double> fmaxOut, vddOut, vbbOut;
-        fmaxIn.reserve(cfg_.examplesPerFc);
-
-        for (std::size_t k = 0; k < cfg_.examplesPerFc; ++k) {
-            const double thC = subRng.uniform(45.0, 70.0);
-            const double alphaF =
-                sub.power().alphaRef * subRng.uniform(0.1, 2.0);
-            const bool alt = sub.hasAlternate() && subRng.bernoulli(0.5);
-
-            const double fmax = clamp(
-                exhaustive.maxFrequency(core_, id, alt, alphaF, thC),
-                knobs.freq.lo(), knobs.freq.hi());
-            fmaxIn.push_back(freqInput(id, thC, alphaF, alt));
-            fmaxOut.push_back(fmax);
-
-            if (caps_.asv || caps_.abb) {
-                // Deployment queries the Power algorithm at fcore just
-                // below the chosen core frequency, so bias training
-                // toward the high end of [lo, fmax].
-                const double u = subRng.uniform();
-                const double fcore = knobs.freq.quantizeDown(
-                    fmax - (fmax - knobs.freq.lo()) * u * u);
-                const auto best = exhaustive.minimizePower(
-                    core_, id, alt, fcore, alphaF, thC);
-                if (best) {
-                    auto in = freqInput(id, thC, alphaF, alt);
-                    in.push_back(fcore);
-                    if (caps_.asv) {
-                        vddIn.push_back(in);
-                        vddOut.push_back(best->vdd);
-                    }
-                    if (caps_.abb) {
-                        vbbIn.push_back(in);
-                        vbbOut.push_back(best->vbb);
-                    }
+        fmaxIn.reserve(ex.size());
+        for (const Example &e : ex) {
+            fmaxIn.push_back(freqInput(id, e.thC, e.alphaF, e.alt));
+            fmaxOut.push_back(e.fmax);
+            if (!powerLabels)
+                continue;
+            // Deployment queries the Power algorithm at fcore just
+            // below the chosen core frequency, so bias training toward
+            // the high end of [lo, fmax].
+            const double fcore = knobs.freq.quantizeDown(
+                e.fmax - (e.fmax - knobs.freq.lo()) * e.u * e.u);
+            const auto best = exhaustive.minimizePower(
+                core_, id, e.alt, fcore, e.alphaF, e.thC);
+            if (best) {
+                auto in = freqInput(id, e.thC, e.alphaF, e.alt);
+                in.push_back(fcore);
+                if (caps_.asv) {
+                    vddIn.push_back(in);
+                    vddOut.push_back(best->vdd);
+                }
+                if (caps_.abb) {
+                    vbbIn.push_back(in);
+                    vbbOut.push_back(best->vbb);
                 }
             }
         }

@@ -53,7 +53,16 @@ class CoreFuzzySystem
                     const Constraints &constraints,
                     const FuzzyTrainingConfig &cfg);
 
-    /** Generate examples with Exhaustive on this core and train. */
+    /**
+     * Generate examples with Exhaustive on this core and train.  Per
+     * subsystem: draw all examples first (thC, alphaF, alt, then u when
+     * a knob exists, in that RNG order), solve their fmax labels sorted
+     * by (alt, thC) with each search warm-started from its neighbour's
+     * answer (the hint is verified, so every label is the unhinted
+     * one), then solve the Power labels and write every example back
+     * in draw order.  The fitted controllers are byte-identical to a
+     * cold, draw-order labelling.
+     */
     void train();
 
     bool trained() const { return trained_; }

@@ -54,10 +54,44 @@ ExhaustiveOptimizer::candidates(double vddNominal)
     return cand_;
 }
 
+namespace {
+
+/**
+ * The first-iterate prune both searches apply before a thermal solve.
+ * The solver iterates upward from TH + Rth * Pdyn, so its first
+ * iterate x1 bounds the solved temperature from below, and PE rises
+ * with T: a setting that is hotter than TMAX or misses the budget at
+ * x1 would fail the post-solve check as well.
+ */
+bool
+admitsAtFirstIterate(const CoreSystemModel &core, SubsystemId id,
+                     const StageErrorModel &em, double f,
+                     const SubsystemKnobs &k, double alphaF, double thC,
+                     double tMaxC, double budget)
+{
+    const double x1 = core.firstThermalIterate(id, f, k, alphaF, thC);
+    if (x1 > tMaxC)
+        return false;
+    const OperatingConditions warm{k.vdd, k.vbb, x1};
+    return em.errorRatePerAccess(1.0 / f, warm) <= budget;
+}
+
+} // namespace
+
 double
 ExhaustiveOptimizer::maxFrequency(const CoreSystemModel &core,
                                   SubsystemId id, bool useAlternate,
                                   double alphaF, double thC)
+{
+    FreqHint none;
+    return maxFrequency(core, id, useAlternate, alphaF, thC, none);
+}
+
+double
+ExhaustiveOptimizer::maxFrequency(const CoreSystemModel &core,
+                                  SubsystemId id, bool useAlternate,
+                                  double alphaF, double thC,
+                                  FreqHint &hint)
 {
     static Counter &queries =
         StatRegistry::global().counter("optimizer.freq_queries");
@@ -77,10 +111,11 @@ ExhaustiveOptimizer::maxFrequency(const CoreSystemModel &core,
     // query at the temperature floor.  Both searches rest
     // on the same invariant the legacy prefilters used: PE rises with
     // f and T and falls with Vdd and Vbb (fast settings first), and
-    // the solved junction temperature is at least TH + Rth * Pdyn, so
-    // a setting that misses the budget at the floor can never pass the
-    // post-solve check — the prunes only skip settings that would have
-    // failed, keeping the chosen frequency bit-identical.
+    // the solved junction temperature is at least the solver's first
+    // iterate (itself above TH + Rth * Pdyn), so a setting that misses
+    // the budget there can never pass the post-solve check — the
+    // prunes only skip settings that would have failed, keeping the
+    // chosen frequency bit-identical.
     const double budget = perAccessErrorBudget(constraints_, alphaF);
     const auto cand = candidates(core.params().vddNominal);
     const auto &vdds = cand->vdds;
@@ -95,28 +130,77 @@ ExhaustiveOptimizer::maxFrequency(const CoreSystemModel &core,
     const double tMaxC = constraints_.tMaxC;
     const bool tempPrunable = tMaxC < 400.0;
 
-    // Exact per-setting feasibility at grid index fi, with the two
-    // decision-invariant prechecks (temperature floor, PE at floor)
-    // ahead of the thermal solve.
-    const auto feasible = [&](double vdd, double vbb, std::size_t fi) {
+    // Exact per-setting feasibility at grid index fi, with the
+    // decision-invariant prechecks (temperature floor, then TMAX and
+    // the PE budget at the first thermal iterate) ahead of the solve.
+    const auto feasible = [&](std::size_t vi, std::size_t bi,
+                              std::size_t fi) {
+        const double vdd = vdds[vi];
+        const double vbb = vbbs[bi];
         const double f = freqs.value(fi);
         if (tempPrunable &&
             thC + r * dynamicPower(kdyn, alphaF, vdd, f) > tMaxC)
             return false;
-        const OperatingConditions cool{vdd, vbb, thC};
-        if (em.errorRatePerAccess(1.0 / f, cool) > budget)
+        const SubsystemKnobs k{vdd, vbb};
+        if (!admitsAtFirstIterate(core, id, em, f, k, alphaF, thC, tMaxC,
+                                  budget))
             return false;
-        const auto sol = core.evaluateSubsystem(
-            id, useAlternate, f, SubsystemKnobs{vdd, vbb}, alphaF,
-            alphaF, thC);
+        const auto sol = core.evaluateSubsystem(id, useAlternate, f, k,
+                                                alphaF, alphaF, thC);
         return sol.functional && sol.thermal.tempC <= tMaxC &&
                sol.peAccess <= budget;
     };
+    // One setting's highest feasible index, by binary search between
+    // a known-feasible index lo (-1: none) and a known-infeasible one
+    // hi (n: none).
+    const auto bisect = [&](std::size_t vi, std::size_t bi,
+                            std::ptrdiff_t lo, std::ptrdiff_t hi) {
+        while (hi - lo > 1) {
+            const std::ptrdiff_t mid = lo + (hi - lo) / 2;
+            if (feasible(vi, bi, static_cast<std::size_t>(mid)))
+                lo = mid;
+            else
+                hi = mid;
+        }
+        return lo;
+    };
 
     std::ptrdiff_t best = -1;   // highest grid index known feasible
+    std::size_t bestVdd = 0, bestVbb = 0;   // the setting that reached it
+
+    // Warm start: verify the hint's setting at the hint's index, or
+    // find that setting's own highest feasible index below it with a
+    // downward gallop + binary search.  Either result is feasible, so
+    // it is a safe floor for the scan below.
+    if (hint.freqIndex >= 0 && hint.vddIndex < vdds.size() &&
+        hint.vbbIndex < vbbs.size()) {
+        const std::size_t vi = hint.vddIndex;
+        const std::size_t bi = hint.vbbIndex;
+        const std::ptrdiff_t h = std::min(
+            hint.freqIndex, static_cast<std::ptrdiff_t>(n) - 1);
+        std::ptrdiff_t lo = -1;   // known feasible, -1 = none
+        if (feasible(vi, bi, static_cast<std::size_t>(h))) {
+            lo = h;
+        } else {
+            std::ptrdiff_t hi = h;   // known infeasible
+            for (std::ptrdiff_t step = 1; h - step >= 0; step <<= 1) {
+                const std::ptrdiff_t t = h - step;
+                if (feasible(vi, bi, static_cast<std::size_t>(t))) {
+                    lo = t;
+                    break;
+                }
+                hi = t;
+            }
+            lo = bisect(vi, bi, lo, hi);
+        }
+        best = lo;
+        bestVdd = vi;
+        bestVbb = bi;
+    }
+
     const double vbbFast = vbbs.back();
-    for (auto vddIt = vdds.rbegin(); vddIt != vdds.rend(); ++vddIt) {
-        const double vdd = *vddIt;
+    for (std::size_t vi = vdds.size(); vi-- > 0;) {
+        const double vdd = vdds[vi];
         std::size_t probe = static_cast<std::size_t>(best + 1);
         if (probe >= n)
             break;   // best already at the top of the grid
@@ -140,18 +224,17 @@ ExhaustiveOptimizer::maxFrequency(const CoreSystemModel &core,
                                    freqs.value(probe)) > tMaxC)
             continue;
 
-        for (auto vbbIt = vbbs.rbegin(); vbbIt != vbbs.rend(); ++vbbIt) {
-            const double vbb = *vbbIt;
+        for (std::size_t bi = vbbs.size(); bi-- > 0;) {
             probe = static_cast<std::size_t>(best + 1);
             if (probe >= n)
                 break;
             // Reverse bias only raises PE: once a Vbb misses the
             // budget at the floor, the rest of the row misses it too.
-            const OperatingConditions cool{vdd, vbb, thC};
+            const OperatingConditions cool{vdd, vbbs[bi], thC};
             if (em.errorRatePerAccess(1.0 / freqs.value(probe), cool) >
                 budget)
                 break;
-            if (!feasible(vdd, vbb, probe))
+            if (!feasible(vi, bi, probe))
                 continue;
 
             // This setting beats the best — gallop upward to bracket
@@ -168,7 +251,7 @@ ExhaustiveOptimizer::maxFrequency(const CoreSystemModel &core,
             if (probe > 0) {
                 for (std::size_t step = 1; lo + step < n; step <<= 1) {
                     const std::size_t t = lo + step;
-                    if (feasible(vdd, vbb, t)) {
+                    if (feasible(vi, bi, t)) {
                         lo = t;
                     } else {
                         hi = t;
@@ -176,16 +259,13 @@ ExhaustiveOptimizer::maxFrequency(const CoreSystemModel &core,
                     }
                 }
             }
-            while (hi - lo > 1) {
-                const std::size_t mid = (lo + hi) / 2;
-                if (feasible(vdd, vbb, mid))
-                    lo = mid;
-                else
-                    hi = mid;
-            }
-            best = static_cast<std::ptrdiff_t>(lo);
+            best = bisect(vi, bi, static_cast<std::ptrdiff_t>(lo),
+                          static_cast<std::ptrdiff_t>(hi));
+            bestVdd = vi;
+            bestVbb = bi;
         }
     }
+    hint = FreqHint{best, bestVdd, bestVbb};
     return best < 0 ? 0.0 : freqs.value(static_cast<std::size_t>(best));
 }
 
@@ -248,6 +328,9 @@ ExhaustiveOptimizer::minimizePower(const CoreSystemModel &core,
         for (std::size_t vi = firstOk; vi < vbbs.size(); ++vi) {
             const double vbb = vbbs[vi];
             SubsystemKnobs k{vdd, vbb};
+            if (!admitsAtFirstIterate(core, id, em, fcore, k, alphaF, thC,
+                                      constraints_.tMaxC, budget))
+                continue;
             const auto sol = core.evaluateSubsystem(
                 id, useAlternate, fcore, k, alphaF, alphaF, thC);
             if (!sol.functional ||

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -74,6 +75,20 @@ class SubsystemOptimizer
                   double thC) = 0;
 };
 
+/**
+ * Warm start for ExhaustiveOptimizer::maxFrequency: a frequency-grid
+ * index and the (Vdd, Vbb) setting that reached it, as indices into
+ * the optimizer's candidate lists — normally a neighbouring query's
+ * answer.  The search verifies the hint before it trusts it, so a
+ * wrong hint costs probes but never changes the answer.
+ */
+struct FreqHint
+{
+    std::ptrdiff_t freqIndex = -1;   ///< -1: no hint / nothing feasible
+    std::size_t vddIndex = 0;
+    std::size_t vbbIndex = 0;
+};
+
 /** Exhaustive implementation (Sec 4.3.1). */
 class ExhaustiveOptimizer : public SubsystemOptimizer
 {
@@ -81,9 +96,25 @@ class ExhaustiveOptimizer : public SubsystemOptimizer
     ExhaustiveOptimizer(const EnvCapabilities &caps,
                         const Constraints &constraints);
 
+    /** Freq algorithm without a warm start (an empty FreqHint). */
     double maxFrequency(const CoreSystemModel &core, SubsystemId id,
                         bool useAlternate, double alphaF,
                         double thC) override;
+
+    /**
+     * Freq algorithm warm-started from @p hint.  The hint's setting is
+     * checked at the hint's index; if it fails there, a downward
+     * gallop and binary search find that one setting's highest
+     * feasible index.  Either way the result is a verified lower bound
+     * on the answer and seeds the full setting scan, which runs
+     * unchanged from there — per-setting feasibility is monotone in f,
+     * so the answer is the unhinted one, bit for bit.  On return
+     * @p hint holds this answer's index and setting (freqIndex -1 when
+     * nothing is feasible), ready for the next query.
+     */
+    double maxFrequency(const CoreSystemModel &core, SubsystemId id,
+                        bool useAlternate, double alphaF, double thC,
+                        FreqHint &hint);
 
     std::optional<SubsystemKnobs>
     minimizePower(const CoreSystemModel &core, SubsystemId id,

@@ -179,6 +179,23 @@ CoreSystemModel::evaluateSubsystem(SubsystemId id, bool useAlternate,
     return sol;
 }
 
+double
+CoreSystemModel::firstThermalIterate(SubsystemId id, double freq,
+                                     const SubsystemKnobs &knobs,
+                                     double alphaF, double thC) const
+{
+    const SubsystemModel &sub = subsystem(id);
+    SubsystemThermalRequest req;
+    req.power = sub.power();
+    req.id = id;
+    req.vt0 = sub.vt0True();
+    req.vdd = knobs.vdd;
+    req.vbb = knobs.vbb;
+    req.freqHz = freq;
+    req.alphaF = alphaF;
+    return thermal_->firstIterate(req, thC);
+}
+
 CoreEvaluation
 CoreSystemModel::evaluate(const OperatingPoint &op,
                           const ActivityVector &act, double thC) const

@@ -186,6 +186,17 @@ class CoreSystemModel
                       double rho, double thC) const;
 
     /**
+     * The thermal solver's first iterate for the same subsystem query
+     * (ThermalModel::firstIterate): a lower bound on
+     * evaluateSubsystem(...).thermal.tempC that costs one fixed-point
+     * step.  The Exhaustive searches reject a setting on it before
+     * paying for the solve.
+     */
+    double firstThermalIterate(SubsystemId id, double freq,
+                               const SubsystemKnobs &knobs, double alphaF,
+                               double thC) const;
+
+    /**
      * Rated frequency of the plain (Baseline) processor: the minimum
      * error-free frequency over all subsystems, evaluated at the
      * worst-case design corner (TMAX junction temperature, nominal

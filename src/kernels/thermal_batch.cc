@@ -9,12 +9,35 @@
 
 namespace eval {
 
+double
+thermalStep(const ProcessParams &params, const ThermalLane &lane, double x,
+            double thC)
+{
+    // Damping 1.0, kept in the legacy scalar solver's form so every
+    // iterate keeps its bit pattern.
+    constexpr double kDamping = 1.0;
+    const double tSafe = clamp(x, -50.0, 400.0);
+    const OperatingConditions op{lane.vdd, lane.vbb, tSafe};
+    const double vtEff = effectiveVt(params, lane.vt0, op);
+    const double psta = staticPowerEq8(lane.ksta, lane.vdd, tSafe, vtEff);
+    const double fx =
+        clamp(thC + lane.rth * (lane.pdyn + psta), -50.0, 400.0);
+    return (1.0 - kDamping) * x + kDamping * fx;
+}
+
+double
+thermalFirstIterate(const ProcessParams &params, const ThermalLane &lane,
+                    double thC)
+{
+    return thermalStep(params, lane, thC + lane.rth * lane.pdyn, thC);
+}
+
 void
 solveThermalLanes(const ProcessParams &params, ThermalLane *lanes,
                   std::size_t n, double thC)
 {
     // Lockstep per-lane iteration state.  `x` replays the legacy
-    // scalar fixed point verbatim (damping 1.0, tol 1e-3, 120 steps):
+    // scalar fixed point verbatim (thermalStep, tol 1e-3, 120 steps):
     // each lane freezes at exactly the step the scalar solver stopped,
     // so the solved temperature keeps its bit pattern.
     constexpr std::size_t kMaxLanes = 64;
@@ -34,15 +57,7 @@ solveThermalLanes(const ProcessParams &params, ThermalLane *lanes,
         for (std::size_t i = 0; i < n; ++i) {
             if (done[i])
                 continue;
-            const ThermalLane &lane = lanes[i];
-            const double tSafe = clamp(x[i], -50.0, 400.0);
-            const OperatingConditions op{lane.vdd, lane.vbb, tSafe};
-            const double vtEff = effectiveVt(params, lane.vt0, op);
-            const double psta =
-                staticPowerEq8(lane.ksta, lane.vdd, tSafe, vtEff);
-            const double fx =
-                clamp(thC + lane.rth * (lane.pdyn + psta), -50.0, 400.0);
-            const double next = (1.0 - 1.0) * x[i] + 1.0 * fx;
+            const double next = thermalStep(params, lanes[i], x[i], thC);
             if (std::abs(next - x[i]) < 1e-3) {
                 x[i] = next;
                 converged[i] = true;

@@ -44,6 +44,26 @@ struct ThermalLane
 };
 
 /**
+ * One step of the Eq 6-9 fixed point for @p lane's inputs: the
+ * temperature its dynamic power plus the leakage at @p x heats it to
+ * above heat-sink temperature @p thC.  solveThermalLanes runs exactly
+ * this step, so the two cannot drift.
+ */
+double thermalStep(const ProcessParams &params, const ThermalLane &lane,
+                   double x, double thC);
+
+/**
+ * The solver's first iterate: thermalStep from the temperature floor
+ * thC + rth * pdyn.  Leakage is positive and grows with temperature,
+ * so the iterates rise monotonically from the floor and this is a
+ * lower bound on the solved tempC — equal to it when the solve
+ * converges at step 1.  Callers use it to reject a setting (too hot,
+ * or too many errors at this temperature) before paying for a solve.
+ */
+double thermalFirstIterate(const ProcessParams &params,
+                           const ThermalLane &lane, double thC);
+
+/**
  * Solve @p n lanes against heat-sink temperature @p thC.
  *
  * @param params process constants (Eq 8/9)

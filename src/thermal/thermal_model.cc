@@ -11,6 +11,26 @@
 
 namespace eval {
 
+namespace {
+
+/** The kernel lane for one request; solveMany and firstIterate share
+ *  it so both see the same inputs. */
+ThermalLane
+toLane(const SubsystemThermalRequest &req, double rth)
+{
+    ThermalLane lane{};
+    lane.rth = rth;
+    lane.pdyn = dynamicPower(req.power.kdyn, req.alphaF, req.vdd,
+                             req.freqHz);
+    lane.ksta = req.power.ksta;
+    lane.vt0 = req.vt0;
+    lane.vdd = req.vdd;
+    lane.vbb = req.vbb;
+    return lane;
+}
+
+} // namespace
+
 ThermalModel::ThermalModel(const ProcessParams &params, double coreAreaMm2,
                            double spreadCoeff, double spreadExponent)
     : params_(params), coreAreaMm2_(coreAreaMm2)
@@ -56,14 +76,7 @@ ThermalModel::solveMany(const SubsystemThermalRequest *requests,
         const std::size_t m = n - base < kChunk ? n - base : kChunk;
         for (std::size_t i = 0; i < m; ++i) {
             const SubsystemThermalRequest &req = requests[base + i];
-            ThermalLane &lane = lanes[i];
-            lane.rth = rth(req.id);
-            lane.pdyn = dynamicPower(req.power.kdyn, req.alphaF, req.vdd,
-                                     req.freqHz);
-            lane.ksta = req.power.ksta;
-            lane.vt0 = req.vt0;
-            lane.vdd = req.vdd;
-            lane.vbb = req.vbb;
+            lanes[i] = toLane(req, rth(req.id));
         }
         solveThermalLanes(params_, lanes, m, thC);
         for (std::size_t i = 0; i < m; ++i) {
@@ -79,6 +92,13 @@ ThermalModel::solveMany(const SubsystemThermalRequest *requests,
                 runaways.inc();
         }
     }
+}
+
+double
+ThermalModel::firstIterate(const SubsystemThermalRequest &req,
+                           double thC) const
+{
+    return thermalFirstIterate(params_, toLane(req, rth(req.id)), thC);
 }
 
 SubsystemThermalState

@@ -111,6 +111,14 @@ class ThermalModel
                    SubsystemThermalState *out, std::size_t n,
                    double thC) const;
 
+    /**
+     * The solver's first iterate for @p req (thermalFirstIterate): a
+     * lower bound on solveMany's tempC for the same request, at the
+     * cost of one fixed-point step and no solve.
+     */
+    double firstIterate(const SubsystemThermalRequest &req,
+                        double thC) const;
+
     const ProcessParams &params() const { return params_; }
     double coreAreaMm2() const { return coreAreaMm2_; }
 

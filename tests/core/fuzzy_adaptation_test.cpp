@@ -1,9 +1,17 @@
 /** Tests for the per-chip fuzzy controller system (Sec 4.3.1). */
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "core/environment.hh"
+#include "power/power_model.hh"
+#include "thermal/thermal_model.hh"
 #include "util/statistics.hh"
+#include "variation/chip.hh"
 
 namespace eval {
 namespace {
@@ -109,6 +117,77 @@ TEST_F(FuzzyAdaptationTest, HigherActivityLowersPredictedFmax)
     const double lo = fc.predictFmax(id, 65.0, 0.2, false);
     const double hi = fc.predictFmax(id, 65.0, 1.1, false);
     EXPECT_GE(lo, hi * 0.98);
+}
+
+/** FNV-1a over the bit patterns of a stream of doubles. */
+struct BitHash
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    void
+    add(double v)
+    {
+        const auto bits = std::bit_cast<std::uint64_t>(v);
+        for (int b = 0; b < 64; b += 8) {
+            h ^= (bits >> b) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+};
+
+// Pins the trained controllers byte for byte: the label search may get
+// faster, but every label (and so every fitted weight) must stay the
+// same.  One seeded chip core is trained for each ASV/ABB combination,
+// and every Freq and Power controller of all subsystems is queried
+// over a fixed input grid.  A changed constant means a changed label,
+// a changed draw order or a changed fit.
+TEST(FuzzyTrainingPin, ControllersBitIdentical)
+{
+    const ProcessParams params;
+    const auto power = calibratePower(params, PowerCalibration{});
+    const auto thermal = std::make_shared<ThermalModel>(params);
+    const ChipFactory factory(params, 0x70696e);
+    const Chip chip = factory.manufactureAt(3);
+    const CoreSystemModel core(chip, 1, power, PowerCalibration{},
+                               thermal);
+
+    BitHash hash;
+    for (int knobBits = 0; knobBits < 4; ++knobBits) {
+        EnvCapabilities caps;
+        caps.timingSpec = true;
+        caps.asv = (knobBits & 1) != 0;
+        caps.abb = (knobBits & 2) != 0;
+        const KnobSpace ks = caps.knobSpace();
+        CoreFuzzySystem fc(core, caps, Constraints{}, FuzzyTrainingConfig{});
+        fc.train();
+        for (std::size_t i = 0; i < kNumSubsystems; ++i) {
+            const auto id = static_cast<SubsystemId>(i);
+            const SubsystemModel &sub = core.subsystem(id);
+            for (bool alt : {false, true}) {
+                if (alt && !sub.hasAlternate())
+                    continue;
+                for (double thC : {45.0, 57.5, 70.0}) {
+                    for (double a : {0.2, 1.0, 1.9}) {
+                        const double alphaF = sub.power().alphaRef * a;
+                        hash.add(fc.predictFmax(id, thC, alphaF, alt));
+                        if (!caps.asv && !caps.abb)
+                            continue;
+                        for (double fcore :
+                             {ks.freq.lo(), 0.5 * (ks.freq.lo() +
+                                                   ks.freq.hi()),
+                              ks.freq.hi()}) {
+                            const SubsystemKnobs k = fc.predictKnobs(
+                                id, thC, alphaF, alt, fcore);
+                            hash.add(k.vdd);
+                            hash.add(k.vbb);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    std::printf("[pin] controller hash 0x%016llx\n",
+                static_cast<unsigned long long>(hash.h));
+    EXPECT_EQ(hash.h, 0x7009e3e8a18b9747ull);
 }
 
 } // namespace

@@ -2,17 +2,24 @@
  * Kernel-layer equivalence suite: every fast path in src/kernels/
  * must be bit-identical to the legacy expression it replaced
  * (scaleExact, upperBoundIndex, lockstep thermal solves, the SoA
- * corner-delay pass).
+ * corner-delay pass), and the exposed first thermal iterate must bound
+ * the solve it is taken from.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <memory>
 #include <vector>
 
+#include "core/subsystem_model.hh"
 #include "kernels/alpha_power.hh"
 #include "kernels/path_soa.hh"
 #include "kernels/pe_surface.hh"
+#include "kernels/thermal_batch.hh"
+#include "power/knobs.hh"
+#include "power/power_model.hh"
 #include "thermal/thermal_model.hh"
 #include "timing/error_model.hh"
 #include "timing/path_population.hh"
@@ -172,6 +179,74 @@ TEST(ThermalBatch, LockstepBatchMatchesScalarBitwise)
         ASSERT_EQ(batch[i].vtEff, one.vtEff) << "i=" << i;
         ASSERT_EQ(batch[i].runaway, one.runaway) << "i=" << i;
     }
+}
+
+// The optimizer rejects settings on the solver's first iterate
+// (thermalFirstIterate) before paying for a solve, which is exact only
+// if that iterate never exceeds the solved temperature.  Check it over
+// seeded chips, every subsystem and the corners of the knob grid, at
+// calibrated leakage and at a tiny one, where the fixed point settles
+// at step 1 and the solve must return the first iterate bit for bit.
+TEST(ThermalBatch, FirstIterateBoundsSolvedTemperature)
+{
+    const ProcessParams params;
+    const auto power = calibratePower(params, PowerCalibration{});
+    const auto thermal = std::make_shared<ThermalModel>(params);
+    const ChipFactory factory(params, 0x66697273);
+    const KnobSpace ks;
+
+    std::size_t checked = 0, stepOne = 0;
+    for (std::uint64_t c = 0; c < 3; ++c) {
+        const Chip chip = factory.manufactureAt(c);
+        const CoreSystemModel core(chip, c % 2, power, PowerCalibration{},
+                                   thermal);
+        for (std::size_t i = 0; i < kNumSubsystems; ++i) {
+            const auto id = static_cast<SubsystemId>(i);
+            const SubsystemModel &sub = core.subsystem(id);
+            for (double vdd : {ks.vdd.lo(), ks.vdd.hi()})
+            for (double vbb : {ks.vbb.lo(), 0.0, ks.vbb.hi()})
+            for (double f : {ks.freq.lo(), ks.freq.hi()})
+            for (double a : {0.1, 2.0})
+            for (double thC : {45.0, 70.0}) {
+                const double alphaF = a * sub.power().alphaRef;
+                // Through the model, as the optimizer uses it.
+                const double x1 = core.firstThermalIterate(
+                    id, f, {vdd, vbb}, alphaF, thC);
+                const auto sol = core.evaluateSubsystem(
+                    id, false, f, {vdd, vbb}, alphaF, alphaF, thC);
+                ASSERT_LE(x1, sol.thermal.tempC)
+                    << "chip " << c << " subsystem " << i << " vdd "
+                    << vdd << " vbb " << vbb << " f " << f;
+                ++checked;
+
+                // Through the kernel, with leakage scaled down until
+                // the iteration can settle at step 1.
+                for (double kstaScale : {1.0, 1e-6}) {
+                    ThermalLane lane{};
+                    lane.rth = thermal->rth(id);
+                    lane.pdyn = dynamicPower(sub.power().kdyn, alphaF, vdd,
+                                             f);
+                    lane.ksta = sub.power().ksta * kstaScale;
+                    lane.vt0 = sub.vt0True();
+                    lane.vdd = vdd;
+                    lane.vbb = vbb;
+                    const double first =
+                        thermalFirstIterate(params, lane, thC);
+                    solveThermalLanes(params, &lane, 1, thC);
+                    ASSERT_LE(first, lane.tempC);
+                    const double floor = thC + lane.rth * lane.pdyn;
+                    if (std::abs(first - floor) < 1e-3) {
+                        ++stepOne;
+                        ASSERT_EQ(first, lane.tempC)
+                            << "converged at step 1 but differs";
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(checked, 0u);
+    // The scaled lanes must exercise the step-1 equality.
+    EXPECT_GT(stepOne, 0u);
 }
 
 } // namespace
