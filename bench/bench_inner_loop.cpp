@@ -7,7 +7,8 @@
  * controller (one fuzzy inference, and a full controller invocation
  * by the fuzzy controllers and by exhaustive search: the paper's
  * ~6 us claim, Sec 4.3.3), for the front end (trace generation, core
- * simulation, chip manufacture), and for the instrumentation
+ * simulation, a cold characterization probe, chip manufacture), and
+ * for the instrumentation
  * primitives (a contended Counter::inc, a disabled/enabled ScopedSpan).
  *
  * Every metric lands in the BENCH_JSON footer so benchtrack can track
@@ -267,7 +268,8 @@ main()
     }
 
     // --- Front end: synthetic trace generation, core simulation
-    // (10k-instruction runs on a warm core) and chip manufacture.
+    // (10k-instruction runs on a warm core, and a cold probe) and chip
+    // manufacture.
     {
         SyntheticTrace trace(appByName("gcc"), 1);
         MicroOp op;
@@ -287,6 +289,21 @@ main()
         });
         reporter.metric("core_sim_ns_per_inst", ns);
         std::printf("core_sim             %10.1f ns/inst\n", ns);
+    }
+    {
+        // A cold, characterization-shaped probe: a fresh core on mcf's
+        // first phase (the longest probe), a 60k-instruction warm-up
+        // and a 60k measured run, as CharacterizationCache runs it.
+        const AppProfile &mcf = appByName("mcf");
+        const double ms = 1e-6 * nsPerCall(5, [&](std::size_t i) {
+            SyntheticTrace trace(mcf, 1 + i);
+            trace.pinPhase(0);
+            Core core(CoreConfig{}, 1 + i);
+            core.run(trace, 60000);
+            sink += static_cast<double>(core.run(trace, 60000).cycles);
+        });
+        reporter.metric("characterize_probe_ms", ms);
+        std::printf("characterize_probe   %10.2f ms/probe\n", ms);
     }
     {
         ChipFactory mfg(proc, 9);

@@ -1,6 +1,7 @@
 #include "arch/core.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "util/logging.hh"
@@ -85,11 +86,29 @@ CoreStats::rho(SubsystemId id) const
 Core::Core(const CoreConfig &cfg, std::uint64_t seed)
     : cfg_(cfg), rng_(seed), bpred_(12, 4), l2_(cfg.l2),
       icache_(cfg.l1i, l2_, cfg.memLat),
-      dcache_(cfg.l1d, l2_, cfg.memLat)
+      dcache_(cfg.l1d, l2_, cfg.memLat),
+      rob_(std::bit_ceil(std::max(cfg.robSize, 1u))),
+      robMask_(rob_.size() - 1),
+      fetchQueue_(rob_.size()),
+      issueCand_(cfg.robSize),
+      pendingWake_(cfg.robSize),
+      wakeScratch_(cfg.robSize)
 {
     EVAL_ASSERT(cfg.queueCapacityFraction > 0.0 &&
                     cfg.queueCapacityFraction <= 1.0,
                 "queue capacity fraction in (0,1]");
+    missComplete_.reserve(cfg.mshrs);
+    // A sleeper waits at most one op latency: 1 + the slowest memory
+    // level for a load, 16 cycles for FpDiv.  The wheel spans more
+    // than that, so live wake cycles never share a slot.
+    const std::uint64_t maxLatency = std::max<std::uint64_t>(
+        1 + std::max({cfg.memLat.l1, cfg.memLat.l2, cfg.memLat.memory}),
+        16);
+    const std::uint64_t horizon = std::max<std::uint64_t>(
+        std::bit_ceil(maxLatency + 1), 64);
+    wheelMask_ = horizon - 1;
+    wheelHead_.assign(horizon, kNoWaiter);
+    wheelBits_.assign(horizon / 64, 0);
 }
 
 void
@@ -157,26 +176,29 @@ Core::execLatency(const MicroOp &op, std::uint64_t now)
     }
 }
 
-void
+unsigned
 Core::dispatch(TraceSource &trace, std::uint64_t now)
 {
     if (now < fetchResumeCycle_ || fetchBlockedOnBranch_)
-        return;
+        return 0;
 
+    const std::size_t fqMask = fetchQueue_.size() - 1;
     bool accessedIcache = false;
+    unsigned dispatched = 0;
     for (unsigned slot = 0; slot < cfg_.fetchWidth; ++slot) {
-        if (rob_.size() >= cfg_.robSize)
+        if (robCount() >= cfg_.robSize)
             break;
 
         // Obtain the next op (replayed ops first).
-        MicroOp op;
-        if (!fetchQueue_.empty()) {
-            op = fetchQueue_.front();
-        } else {
-            if (!trace.next(op))
+        if (fqSize_ == 0) {
+            MicroOp &pulled = fetchQueue_[fqHead_];
+            if (!trace.next(pulled))
                 break;
-            fetchQueue_.push_back(op);
+            fqSize_ = 1;
+            EVAL_ASSERT(robCount() + fqSize_ <= cfg_.robSize,
+                        "ROB + fetch queue over robSize");
         }
+        const MicroOp &op = fetchQueue_[fqHead_];
 
         // Structural checks before consuming the op.
         const bool fpSide = isFpOp(op.cls);
@@ -208,15 +230,14 @@ Core::dispatch(TraceSource &trace, std::uint64_t now)
             }
         }
 
-        fetchQueue_.pop_front();
-
-        InFlight inf;
-        inf.op = op;
-        inf.seq = nextSeq_++;
-        inf.isFpSide = fpSide;
-        rob_.push_back(inf);
+        const std::uint64_t seq = nextSeq_++;
+        InFlight &inf = robAt(seq);
+        inf = InFlight{.op = op, .seq = seq, .isFpSide = fpSide};
+        fqHead_ = (fqHead_ + 1) & fqMask;
+        --fqSize_;
+        ++dispatched;
         // Seqs only grow, so appending keeps the candidates sorted.
-        issueCand_.push_back(IssueCand{inf.seq, op.cls});
+        issueCand_.push(IssueCand{seq, inf.op.cls});
 
         count(SubsystemId::Decode);
         count(fpSide ? SubsystemId::FPMap : SubsystemId::IntMap);
@@ -225,38 +246,118 @@ Core::dispatch(TraceSource &trace, std::uint64_t now)
             ++fpQueueOcc_;
         else
             ++intQueueOcc_;
-        if (isMemOp(op.cls)) {
+        if (isMemOp(inf.op.cls)) {
             ++lsqOcc_;
             count(SubsystemId::LdStQ);
         }
 
-        if (op.cls == OpClass::Branch) {
+        if (inf.op.cls == OpClass::Branch) {
             count(SubsystemId::BranchPred);
             ++stats_.branches;
-            const bool mispredicted = bpred_.predictAndUpdate(op.pc,
-                                                              op.taken);
+            const bool mispredicted = bpred_.predictAndUpdate(
+                inf.op.pc, inf.op.taken);
             if (mispredicted) {
                 ++stats_.branchMispredicts;
                 fetchBlockedOnBranch_ = true;
-                pendingBranchSeq_ = inf.seq;
+                pendingBranchSeq_ = seq;
                 break;
             }
         }
     }
+    return dispatched;
 }
 
 void
+Core::sleep(std::uint64_t seq, std::uint64_t wake, std::uint64_t now)
+{
+    EVAL_ASSERT(wake > now && wake - now <= wheelMask_,
+                "sleeper beyond the wheel horizon");
+    const std::uint64_t slot = wake & wheelMask_;
+    std::uint64_t &bits = wheelBits_[slot >> 6];
+    const std::uint64_t bit = 1ULL << (slot & 63);
+    robAt(seq).nextWaiter = (bits & bit) ? wheelHead_[slot] : kNoWaiter;
+    wheelHead_[slot] = seq;
+    bits |= bit;
+}
+
+void
+Core::wakeSleepers(std::uint64_t now)
+{
+    // run() visits every cycle that holds a wake (a skip never jumps
+    // past the next one), and live wake cycles span less than the
+    // horizon, so the slot of `now` holds exactly the wakes due now.
+    const std::uint64_t slot = now & wheelMask_;
+    std::uint64_t &bits = wheelBits_[slot >> 6];
+    const std::uint64_t bit = 1ULL << (slot & 63);
+    if (!(bits & bit))
+        return;
+    bits &= ~bit;
+    for (std::uint64_t s = wheelHead_[slot]; s != kNoWaiter;) {
+        const InFlight &inf = robAt(s);
+        wakeScratch_.push(IssueCand{s, inf.op.cls});
+        s = inf.nextWaiter;
+    }
+}
+
+std::uint64_t
+Core::nextSleeperWake(std::uint64_t now) const
+{
+    // Scan the bitmap cyclically from the slot after `now`.
+    const std::uint64_t words = wheelBits_.size();
+    const std::uint64_t start = (now + 1) & wheelMask_;
+    std::uint64_t w = start >> 6;
+    std::uint64_t bits = wheelBits_[w] & (~0ULL << (start & 63));
+    for (std::uint64_t i = 0; i <= words; ++i) {
+        if (bits) {
+            const std::uint64_t slot =
+                (w << 6) | static_cast<std::uint64_t>(std::countr_zero(bits));
+            return now + 1 + ((slot - start) & wheelMask_);
+        }
+        w = (w + 1) % words;
+        bits = wheelBits_[w];
+    }
+    return kNoWaiter;
+}
+
+std::uint64_t
+Core::nextEvent(std::uint64_t now) const
+{
+    std::uint64_t next = nextSleeperWake(now);
+    if (robCount() != 0) {
+        const InFlight &head = robAt(robHeadSeq_);
+        if (head.issued)
+            next = std::min(next, head.completeCycle);
+    }
+    if (fetchResumeCycle_ > now)
+        next = std::min(next, fetchResumeCycle_);
+    if (!missComplete_.empty())
+        next = std::min(next, mshrMinFill_);
+    if (fpDivBusyUntil_ > now)
+        next = std::min(next, fpDivBusyUntil_);
+    return next;
+}
+
+unsigned
 Core::issue(std::uint64_t now)
 {
     unsigned issued = 0;
     unsigned aluUsed = 0, mulUsed = 0, faddUsed = 0, fmulUsed = 0;
 
-    // MSHR occupancy: drop completed fills (now is monotone within a
-    // run, so a pruned entry can never count again), count the rest.
-    missComplete_.erase(
-        std::remove_if(missComplete_.begin(), missComplete_.end(),
-                       [now](std::uint64_t c) { return c <= now; }),
-        missComplete_.end());
+    // MSHR occupancy: once the earliest fill has passed, drop every
+    // completed fill (now is monotone within a run, so a pruned entry
+    // can never count again); the rest are in flight.
+    if (mshrMinFill_ <= now) {
+        std::uint64_t minFill = kNoWaiter;
+        std::size_t keep = 0;
+        for (const std::uint64_t c : missComplete_) {
+            if (c > now) {
+                missComplete_[keep++] = c;
+                minFill = std::min(minFill, c);
+            }
+        }
+        missComplete_.resize(keep);
+        mshrMinFill_ = minFill;
+    }
     unsigned missesInFlight =
         static_cast<unsigned>(missComplete_.size());
 
@@ -264,47 +365,40 @@ Core::issue(std::uint64_t now)
     // cycle has arrived, and consumers whose producer issued last
     // cycle.  Merging the wakes back in seq order keeps the candidate
     // visit order identical to a full ROB scan.
-    const auto byWake = [](const Sleeper &a, const Sleeper &b) {
-        return a.wakeCycle > b.wakeCycle;
-    };
-    wakeScratch_.clear();
-    while (!sleepers_.empty() && sleepers_.front().wakeCycle <= now) {
-        std::pop_heap(sleepers_.begin(), sleepers_.end(), byWake);
-        wakeScratch_.push_back(
-            IssueCand{sleepers_.back().seq, sleepers_.back().cls});
-        sleepers_.pop_back();
-    }
+    wakeScratch_.size = 0;
+    wakeSleepers(now);
     if (!pendingWake_.empty()) {
-        wakeScratch_.insert(wakeScratch_.end(), pendingWake_.begin(),
-                            pendingWake_.end());
-        pendingWake_.clear();
+        std::copy(pendingWake_.data.get(),
+                  pendingWake_.data.get() + pendingWake_.size,
+                  wakeScratch_.data.get() + wakeScratch_.size);
+        wakeScratch_.size += pendingWake_.size;
+        pendingWake_.size = 0;
     }
     if (!wakeScratch_.empty()) {
         // A cycle wakes a handful of entries at most: insertion sort
         // beats a general sort at this size, and a backward
-        // two-pointer merge into the widened vector avoids
+        // two-pointer merge into the widened list avoids
         // inplace_merge's temporary buffer.
-        for (std::size_t i = 1; i < wakeScratch_.size(); ++i) {
-            const IssueCand v = wakeScratch_[i];
+        IssueCand *const ws = wakeScratch_.data.get();
+        for (std::size_t i = 1; i < wakeScratch_.size; ++i) {
+            const IssueCand v = ws[i];
             std::size_t j = i;
-            while (j > 0 && wakeScratch_[j - 1].seq > v.seq) {
-                wakeScratch_[j] = wakeScratch_[j - 1];
+            while (j > 0 && ws[j - 1].seq > v.seq) {
+                ws[j] = ws[j - 1];
                 --j;
             }
-            wakeScratch_[j] = v;
+            ws[j] = v;
         }
-        const std::size_t oldN = issueCand_.size();
-        issueCand_.resize(oldN + wakeScratch_.size());
-        std::ptrdiff_t a = static_cast<std::ptrdiff_t>(oldN) - 1;
-        std::ptrdiff_t b =
-            static_cast<std::ptrdiff_t>(wakeScratch_.size()) - 1;
-        std::ptrdiff_t w =
-            static_cast<std::ptrdiff_t>(issueCand_.size()) - 1;
+        IssueCand *const ic = issueCand_.data.get();
+        std::ptrdiff_t a = static_cast<std::ptrdiff_t>(issueCand_.size) - 1;
+        std::ptrdiff_t b = static_cast<std::ptrdiff_t>(wakeScratch_.size) - 1;
+        issueCand_.size += wakeScratch_.size;
+        std::ptrdiff_t w = static_cast<std::ptrdiff_t>(issueCand_.size) - 1;
         while (b >= 0) {
-            if (a >= 0 && issueCand_[a].seq > wakeScratch_[b].seq)
-                issueCand_[w--] = issueCand_[a--];
+            if (a >= 0 && ic[a].seq > ws[b].seq)
+                ic[w--] = ic[a--];
             else
-                issueCand_[w--] = wakeScratch_[b--];
+                ic[w--] = ws[b--];
         }
     }
 
@@ -316,15 +410,15 @@ Core::issue(std::uint64_t now)
     // full scan would have reached the same `continue` after the dep
     // check, and the dep check writes nothing, so skipping it is
     // unobservable.
+    IssueCand *const cand = issueCand_.data.get();
     std::size_t keepCand = 0;
-    const std::size_t numCand = issueCand_.size();
+    const std::size_t numCand = issueCand_.size;
     for (std::size_t r = 0; r < numCand; ++r) {
-        const IssueCand c = issueCand_[r];
+        const IssueCand c = cand[r];
         if (issued >= cfg_.issueWidth) {
             // Width exhausted: nothing later can issue — bulk-keep
             // the remaining tail in one move.
-            std::memmove(issueCand_.data() + keepCand,
-                         issueCand_.data() + r,
+            std::memmove(cand + keepCand, cand + r,
                          (numCand - r) * sizeof(IssueCand));
             keepCand += numCand - r;
             break;
@@ -362,15 +456,14 @@ Core::issue(std::uint64_t now)
         if (fuBlocked) {
             // Structural conflicts carry no wake event — stay a
             // candidate and retry next cycle.
-            issueCand_[keepCand++] = c;
+            cand[keepCand++] = c;
             continue;
         }
 
-        InFlight &inf = rob_[c.seq - rob_.front().seq];
+        InFlight &inf = robAt(c.seq);
 
         // Operand readiness via backward dependency distances.
         bool ready = true;
-        std::uint64_t readyCycle = 0;
         std::uint64_t blockCycle = 0;
         std::uint64_t blockProdSeq = kNoWaiter;
         auto checkDep = [&](std::uint16_t dist) {
@@ -379,10 +472,9 @@ Core::issue(std::uint64_t now)
             if (dist > inf.seq)
                 return;   // producer predates the trace window
             const std::uint64_t prodSeq = inf.seq - dist;
-            const std::uint64_t oldestSeq = rob_.front().seq;
-            if (prodSeq < oldestSeq)
+            if (prodSeq < robHeadSeq_)
                 return;   // producer already retired
-            const InFlight &prod = rob_[prodSeq - oldestSeq];
+            const InFlight &prod = robAt(prodSeq);
             if (!prod.issued) {
                 // No time bound exists until the producer issues —
                 // park on that producer's waiter chain.
@@ -393,9 +485,7 @@ Core::issue(std::uint64_t now)
             if (prod.completeCycle > now) {
                 ready = false;
                 blockCycle = prod.completeCycle;
-                return;
             }
-            readyCycle = std::max(readyCycle, prod.completeCycle);
         };
         checkDep(inf.op.src1Dist);
         checkDep(inf.op.src2Dist);
@@ -403,13 +493,11 @@ Core::issue(std::uint64_t now)
             // Park until the gate opens; the skipped rechecks could
             // only have hit this same branch again.
             if (blockProdSeq != kNoWaiter) {
-                InFlight &prod =
-                    rob_[blockProdSeq - rob_.front().seq];
+                InFlight &prod = robAt(blockProdSeq);
                 inf.nextWaiter = prod.firstWaiter;
                 prod.firstWaiter = c.seq;
             } else {
-                sleepers_.push_back(Sleeper{blockCycle, c.seq, c.cls});
-                std::push_heap(sleepers_.begin(), sleepers_.end(), byWake);
+                sleep(c.seq, blockCycle, now);
             }
             continue;
         }
@@ -451,11 +539,9 @@ Core::issue(std::uint64_t now)
         // least a cycle from completing — exactly when the full scan
         // would first have seen them unblocked.
         for (std::uint64_t ws = inf.firstWaiter; ws != kNoWaiter;) {
-            InFlight &waiter = rob_[ws - rob_.front().seq];
-            pendingWake_.push_back(IssueCand{ws, waiter.op.cls});
-            const std::uint64_t nxt = waiter.nextWaiter;
-            waiter.nextWaiter = kNoWaiter;
-            ws = nxt;
+            const InFlight &waiter = robAt(ws);
+            pendingWake_.push(IssueCand{ws, waiter.op.cls});
+            ws = waiter.nextWaiter;
         }
         inf.firstWaiter = kNoWaiter;
         inf.completeCycle = now + execLatency(inf.op, now);
@@ -463,9 +549,9 @@ Core::issue(std::uint64_t now)
             fpDivBusyUntil_ = inf.completeCycle;
         if (inf.op.cls == OpClass::Load &&
             inf.completeCycle - now > cfg_.memLat.l1 + 1) {
-            inf.missInFlight = true;
             ++missesInFlight;
             missComplete_.push_back(inf.completeCycle);
+            mshrMinFill_ = std::min(mshrMinFill_, inf.completeCycle);
         }
         ++issued;
 
@@ -487,7 +573,8 @@ Core::issue(std::uint64_t now)
             fetchResumeCycle_ = std::max(fetchResumeCycle_, redirect);
         }
     }
-    issueCand_.resize(keepCand);
+    issueCand_.size = keepCand;
+    return issued;
 }
 
 void
@@ -495,13 +582,19 @@ Core::squashAll(std::uint64_t resumeCycle)
 {
     // Return the squashed ops to the front of the fetch queue in
     // program order; they will be re-fetched and re-executed.
-    for (std::size_t i = rob_.size(); i-- > 0;)
-        fetchQueue_.push_front(rob_[i].op);
-    rob_.clear();
+    const std::size_t fqMask = fetchQueue_.size() - 1;
+    for (std::uint64_t seq = nextSeq_; seq-- > robHeadSeq_;) {
+        fqHead_ = (fqHead_ + fqMask) & fqMask;
+        fetchQueue_[fqHead_] = robAt(seq).op;
+        ++fqSize_;
+    }
+    EVAL_ASSERT(fqSize_ <= cfg_.robSize, "fetch queue over robSize");
+    robHeadSeq_ = nextSeq_;
     missComplete_.clear();
-    issueCand_.clear();
-    sleepers_.clear();
-    pendingWake_.clear();
+    mshrMinFill_ = kNoWaiter;
+    issueCand_.size = 0;
+    pendingWake_.size = 0;
+    std::fill(wheelBits_.begin(), wheelBits_.end(), 0);
 
     intQueueOcc_ = fpQueueOcc_ = lsqOcc_ = 0;
     fetchBlockedOnBranch_ = false;
@@ -513,8 +606,8 @@ Core::retire(std::uint64_t now, unsigned maxRetire)
 {
     unsigned retired = 0;
     const unsigned width = std::min(cfg_.retireWidth, maxRetire);
-    while (retired < width && !rob_.empty()) {
-        InFlight &head = rob_.front();
+    while (retired < width && robCount() != 0) {
+        const InFlight &head = robAt(robHeadSeq_);
         if (!head.issued || head.completeCycle > now)
             break;
 
@@ -526,7 +619,7 @@ Core::retire(std::uint64_t now, unsigned maxRetire)
         ++stats_.instructions;
         ++retired;
 
-        rob_.pop_front();
+        ++robHeadSeq_;
 
         // Diva checker: with probability errorProb_ the result was a
         // variation-induced timing error; the checker supplies the
@@ -546,23 +639,20 @@ CoreStats
 Core::run(TraceSource &trace, std::uint64_t numInstructions)
 {
     stats_ = CoreStats{};
-    rob_.clear();
-    fetchQueue_.clear();
+    robHeadSeq_ = nextSeq_ = 0;
+    fqHead_ = fqSize_ = 0;
     missComplete_.clear();
-    missComplete_.reserve(cfg_.mshrs);
-    issueCand_.clear();
-    issueCand_.reserve(cfg_.robSize);
-    sleepers_.clear();
-    sleepers_.reserve(cfg_.robSize);
-    pendingWake_.clear();
-    pendingWake_.reserve(cfg_.robSize);
-    wakeScratch_.reserve(cfg_.robSize);
-    nextSeq_ = 0;
+    mshrMinFill_ = kNoWaiter;
+    issueCand_.size = 0;
+    pendingWake_.size = 0;
+    std::fill(wheelBits_.begin(), wheelBits_.end(), 0);
     fetchResumeCycle_ = 0;
     fetchBlockedOnBranch_ = false;
     intQueueOcc_ = fpQueueOcc_ = lsqOcc_ = 0;
     fpDivBusyUntil_ = 0;
 
+    // The watchdog fires when this many cycles pass without a retire.
+    constexpr std::uint64_t kDeadlockCycles = 200000;
     std::uint64_t now = 0;
     std::uint64_t lastProgress = 0;
     std::uint64_t lastInstCount = 0;
@@ -575,23 +665,40 @@ Core::run(TraceSource &trace, std::uint64_t numInstructions)
 
         // Account a memory-stall cycle when retirement is fully
         // blocked by a load still waiting on main memory.
-        if (retired == 0 && !rob_.empty()) {
-            const InFlight &head = rob_.front();
-            if (head.issued && head.op.cls == OpClass::Load &&
-                head.completeCycle > now &&
-                head.completeCycle - now >= cfg_.memLat.l2) {
-                ++stats_.memStallCycles;
+        const InFlight &head = robAt(robHeadSeq_);
+        const bool memStalled =
+            retired == 0 && robCount() != 0 && head.issued &&
+            head.op.cls == OpClass::Load && head.completeCycle > now &&
+            head.completeCycle - now >= cfg_.memLat.l2;
+        if (memStalled)
+            ++stats_.memStallCycles;
+
+        const unsigned issued = issue(now);
+        const unsigned dispatched = dispatch(trace, now);
+
+        std::uint64_t next = now + 1;
+        if (retired == 0 && issued == 0 && dispatched == 0 &&
+            pendingWake_.empty()) {
+            // Dead cycle: nothing can change before the next event, so
+            // jump there — capped at the watchdog's firing cycle, so a
+            // deadlock still panics at the same cycle.  Each skipped
+            // cycle c would have seen the same stalled head, counting
+            // a memory stall while head.completeCycle - c >= l2.
+            next = std::min(nextEvent(now),
+                            lastProgress + kDeadlockCycles + 1);
+            if (memStalled && next > now + 1) {
+                const std::uint64_t lastStall = std::min(
+                    next - 1, head.completeCycle - cfg_.memLat.l2);
+                if (lastStall > now)
+                    stats_.memStallCycles += lastStall - now;
             }
         }
-
-        issue(now);
-        dispatch(trace, now);
-        ++now;
+        now = next;
 
         if (stats_.instructions != lastInstCount) {
             lastInstCount = stats_.instructions;
             lastProgress = now;
-        } else if (now - lastProgress > 200000) {
+        } else if (now - lastProgress > kDeadlockCycles) {
             EVAL_PANIC("core deadlock at cycle ", now, " after ",
                        stats_.instructions, " instructions");
         }

@@ -20,7 +20,7 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -131,27 +131,64 @@ class Core
     {
         MicroOp op;
         std::uint64_t seq = 0;
-        std::uint64_t readyCycle = 0;    ///< operands available
         std::uint64_t completeCycle = 0; ///< result available
         /** Intrusive wait chain: seqs of unissued consumers parked on
-         *  this entry, woken when it issues (kNoWaiter = none). */
+         *  this entry, woken when it issues (kNoWaiter = none).  An
+         *  entry parked on the sleeper wheel is on no waiter chain, so
+         *  the wheel links its slot lists through nextWaiter too. */
         std::uint64_t firstWaiter = kNoWaiter;
         std::uint64_t nextWaiter = kNoWaiter;
         bool issued = false;
         bool isFpSide = false;
-        bool missInFlight = false;       ///< occupies an MSHR
     };
 
     /** Sentinel seq for the InFlight waiter chains. */
     static constexpr std::uint64_t kNoWaiter = ~0ULL;
 
-    void dispatch(TraceSource &trace, std::uint64_t now);
-    void issue(std::uint64_t now);
+    struct IssueCand
+    {
+        std::uint64_t seq;
+        OpClass cls;
+    };
+
+    /** Fixed-capacity list: storage is allocated once per Core, so
+     *  growth does no capacity check and no value-initialization.
+     *  Callers guarantee the bound (see the issue-list comment). */
+    struct CandList
+    {
+        std::unique_ptr<IssueCand[]> data;
+        std::size_t size = 0;
+
+        explicit CandList(std::size_t cap) : data(new IssueCand[cap]) {}
+        void push(const IssueCand &c) { data[size++] = c; }
+        bool empty() const { return size == 0; }
+    };
+
+    /** Returns the number of ops dispatched. */
+    unsigned dispatch(TraceSource &trace, std::uint64_t now);
+    /** Returns the number of ops issued. */
+    unsigned issue(std::uint64_t now);
     unsigned retire(std::uint64_t now, unsigned maxRetire);
     /** Squash every in-flight op back to the fetch queue. */
     void squashAll(std::uint64_t resumeCycle);
     unsigned execLatency(const MicroOp &op, std::uint64_t now);
     void count(SubsystemId id, std::uint64_t n = 1);
+
+    InFlight &robAt(std::uint64_t seq) { return rob_[seq & robMask_]; }
+    const InFlight &
+    robAt(std::uint64_t seq) const
+    {
+        return rob_[seq & robMask_];
+    }
+    std::uint64_t robCount() const { return nextSeq_ - robHeadSeq_; }
+    /** Park @p seq on the sleeper wheel until cycle @p wake. */
+    void sleep(std::uint64_t seq, std::uint64_t wake, std::uint64_t now);
+    /** Move the sleepers due at @p now into wakeScratch_. */
+    void wakeSleepers(std::uint64_t now);
+    /** First cycle after @p now with a wheel wake (kNoWaiter: none). */
+    std::uint64_t nextSleeperWake(std::uint64_t now) const;
+    /** First cycle after @p now at which a dead machine can change. */
+    std::uint64_t nextEvent(std::uint64_t now) const;
 
     CoreConfig cfg_;
     Rng rng_;
@@ -163,56 +200,73 @@ class Core
     double errorProb_ = 0.0;
     unsigned errorPenalty_ = 14;
 
-    // Transient machine state.
-    std::deque<MicroOp> fetchQueue_;
-    std::deque<InFlight> rob_;
-    /** Completion cycles of issued loads occupying an MSHR.  Replaces
-     *  the per-cycle ROB scan that used to recount them: entries are
-     *  pushed when a missing load issues, lazily pruned once their
-     *  cycle passes (time only moves forward within a run), and
-     *  cleared on a squash — the count matches the old scan exactly.
-     *  Bounded by cfg_.mshrs (the issue stage stops allocating at the
-     *  limit). */
+    // Transient machine state.  Every structure is sized once per Core
+    // from cfg_, so a simulated cycle does no heap work.
+    //
+    // The ROB is a ring indexed by seq & robMask_: it holds seqs
+    // [robHeadSeq_, nextSeq_), contiguous because dispatch assigns
+    // seqs in order, retire pops the head and a squash empties it.
+    // The fetch queue is a ring of replayed and freshly pulled ops.
+    // ROB + fetch queue never exceeds robSize: a trace pull happens
+    // only into an empty fetch queue while the ROB has room, dispatch
+    // moves an op from one to the other, and a squash moves the ROB
+    // back without adding anything — so both rings get the ROB's
+    // power-of-two capacity.
+    std::vector<InFlight> rob_;
+    std::uint64_t robMask_ = 0;
+    std::uint64_t robHeadSeq_ = 0;
+    std::vector<MicroOp> fetchQueue_;
+    std::size_t fqHead_ = 0;
+    std::size_t fqSize_ = 0;
+    /** Completion cycles of issued loads occupying an MSHR.  Entries
+     *  are pushed when a missing load issues, pruned only once the
+     *  earliest of them (mshrMinFill_) has passed — time only moves
+     *  forward within a run — and cleared on a squash.  Bounded by
+     *  cfg_.mshrs: the issue stage stops allocating at the limit. */
     std::vector<std::uint64_t> missComplete_;
+    std::uint64_t mshrMinFill_ = kNoWaiter;
     /**
      * Event-driven issue scheduling.  Instead of scanning the whole
      * ROB every cycle, issue() only visits `issueCand_`: the seqs
      * (ascending, i.e. program order) of unissued entries that could
      * plausibly issue this cycle.  An entry that fails its dependency
      * check leaves the candidate list and parks on one of two wake
-     * lists:
-     *   - `sleepers_` (a min-heap on wake cycle) when the blocking
-     *     producer had issued — readiness is then purely a matter of
-     *     reaching the producer's completion cycle;
+     * structures:
+     *   - the sleeper wheel, when the blocking producer had issued —
+     *     readiness is then purely a matter of reaching the producer's
+     *     completion cycle.  The wheel has one slot per cycle of a
+     *     power-of-two horizon longer than the longest latency; each
+     *     slot heads a list linked through InFlight::nextWaiter, and
+     *     an occupancy bitmap finds the next wake with ctz;
      *   - the blocking producer's intrusive waiter chain when it had
      *     not issued — nothing can change for the consumer until that
      *     specific producer issues, at which point the chain is walked
      *     into `pendingWake_` for the next cycle's pass.
-     * Woken seqs are merged back in seq order before the pass, so the
-     * entries visited in any cycle are a superset of those that could
-     * issue, in exactly the ROB-scan order: issue order, stats, and
-     * cycle counts are unchanged.  A deferred wake is sound because a
-     * parked entry's recheck would provably have hit `continue`.
+     * Woken seqs are sorted and merged back in seq order before the
+     * pass, so the entries visited in any cycle are a superset of
+     * those that could issue, in exactly the ROB-scan order: issue
+     * order, stats, and cycle counts are unchanged.  A deferred wake
+     * is sound because a parked entry's recheck would provably have
+     * hit `continue`.
      *
      * Candidates carry the op class so a structurally blocked entry
      * (functional unit exhausted, MSHRs full, issue width reached) is
-     * skipped without touching the ROB at all.
+     * skipped without touching the ROB at all.  Each unissued entry
+     * sits in exactly one of issueCand_, pendingWake_, the wheel or a
+     * waiter chain, so robSize bounds every candidate list.
+     *
+     * Dead-cycle skip: when a cycle retires, issues and dispatches
+     * nothing, the machine cannot change until the next event (a
+     * wheel wake, the ROB head completing, the front end resuming, an
+     * MSHR fill or the FP divider freeing), so run() jumps straight to
+     * it and credits the skipped memory-stall cycles arithmetically.
      */
-    struct IssueCand
-    {
-        std::uint64_t seq;
-        OpClass cls;
-    };
-    struct Sleeper
-    {
-        std::uint64_t wakeCycle;
-        std::uint64_t seq;
-        OpClass cls;
-    };
-    std::vector<IssueCand> issueCand_;
-    std::vector<Sleeper> sleepers_;
-    std::vector<IssueCand> pendingWake_;
-    std::vector<IssueCand> wakeScratch_;
+    CandList issueCand_;
+    CandList pendingWake_;
+    CandList wakeScratch_;
+    std::vector<std::uint64_t> wheelHead_;
+    std::vector<std::uint64_t> wheelBits_;
+    std::uint64_t wheelMask_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t fetchResumeCycle_ = 0;
     std::uint64_t pendingBranchSeq_ = 0;

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+
 #include "arch/core.hh"
 #include "workload/generator.hh"
+#include "workload/profile.hh"
 
 namespace eval {
 namespace {
@@ -206,6 +210,115 @@ TEST(Core, DeterministicRuns)
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.l2Misses, b.l2Misses);
     EXPECT_EQ(a.branchMispredicts, b.branchMispredicts);
+}
+
+/** FNV-1a over every CoreStats field, in declaration order. */
+class StatsDigest
+{
+  public:
+    void
+    add(const CoreStats &s)
+    {
+        word(s.cycles);
+        word(s.instructions);
+        word(s.branches);
+        word(s.branchMispredicts);
+        word(s.l2Misses);
+        word(s.l2MissesIStream);
+        word(s.l1dMisses);
+        word(s.l1iMisses);
+        word(s.memStallCycles);
+        word(s.errorRecoveries);
+        word(s.recoveryStallCycles);
+        for (const std::uint64_t a : s.accesses)
+            word(a);
+    }
+
+    std::uint64_t value() const { return h_; }
+
+  private:
+    void
+    word(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h_ ^= (v >> (8 * i)) & 0xFF;
+            h_ *= 0x100000001B3ULL;
+        }
+    }
+
+    std::uint64_t h_ = 0xCBF29CE484222325ULL;
+};
+
+/**
+ * Digest of characterization-shaped probes (a fresh core and a trace
+ * pinned to one phase, a 20k-instruction warm-up, then a 20k measured
+ * run) over every suite app, with error injection off and on.  The
+ * full grid adds every phase and the 3/4-size queues; otherwise each
+ * app runs phase 0 at full queue size.  Both runs of each probe enter
+ * the digest.
+ */
+std::uint64_t
+probeDigest(const std::function<void(CoreConfig &)> &tweak, bool fullGrid)
+{
+    constexpr std::uint64_t kSeed = 1;
+    constexpr std::uint64_t kInsts = 20000;
+    StatsDigest d;
+    for (const AppProfile &app : specSuite()) {
+        const std::size_t phases =
+            fullGrid ? SyntheticTrace(app, 0).numPhases() : 1;
+        for (std::size_t phase = 0; phase < phases; ++phase) {
+            for (std::size_t q = 0; q < (fullGrid ? 2u : 1u); ++q) {
+                const double frac = q == 0 ? 1.0 : 0.75;
+                for (const double errProb : {0.0, 1e-3}) {
+                    CoreConfig cfg;
+                    cfg.queueCapacityFraction = frac;
+                    tweak(cfg);
+                    SyntheticTrace t(app, kSeed ^ (phase * 7919));
+                    t.pinPhase(phase);
+                    Core core(cfg, kSeed ^ 0xC0DE ^ phase);
+                    core.setErrorInjection(errProb, 14);
+                    d.add(core.run(t, kInsts));
+                    d.add(core.run(t, kInsts));
+                }
+            }
+        }
+    }
+    return d.value();
+}
+
+// Pins the simulator's exact output.  Any change to Core that moves a
+// single counter of a single probe changes these digests; a deliberate
+// model change must re-record them (print probeDigest's value).
+TEST(CoreStatsPin, DefaultConfigFullGrid)
+{
+    EXPECT_EQ(probeDigest([](CoreConfig &) {}, true), 0x1236A9820F80D9C7ULL);
+}
+
+TEST(CoreStatsPin, OneMshr)
+{
+    EXPECT_EQ(probeDigest([](CoreConfig &c) { c.mshrs = 1; }, false),
+              0xEBA72E4D73D2F139ULL);
+}
+
+TEST(CoreStatsPin, NextLinePrefetch)
+{
+    EXPECT_EQ(probeDigest([](CoreConfig &c) { c.prefetchNextLine = true; },
+                          false),
+              0x55EA55AFFBB6C5F7ULL);
+}
+
+TEST(CoreStatsPin, ReplicatedFus)
+{
+    EXPECT_EQ(probeDigest([](CoreConfig &c) { c.fuReplicated = true; },
+                          false),
+              0x304BB5B9E3502D93ULL);
+}
+
+TEST(CoreStatsPin, LongMemoryLatency)
+{
+    EXPECT_EQ(probeDigest([](CoreConfig &c) { c.memLat.memory = 300; },
+                          false),
+              0xFC4A8DFFD6F083CAULL);
 }
 
 /** Property sweep: every suite app simulates cleanly with sane CPI. */
